@@ -208,15 +208,20 @@ fn bench_dense_vs_sparse(c: &mut Criterion) {
 
 /// The full round-two server tick as the router actually runs it — not
 /// just the inner kernel. A warm quorum server at n = 1024 holds its
-/// own ground-truth row plus all `~2√n` rendezvous clients' rows (each
-/// fully live, so every pair merge-joins 1024-entry working sets) and
+/// own row plus all `~2√n` rendezvous clients' rows, and
 /// `on_routing_tick` performs failover management, round-one link-state
 /// fan-out and the full recommendation computation for every fresh
-/// client pair.
+/// client pair. Two row shapes:
+///
+/// * `server_tick` — every row fully live (ground truth): each pair
+///   works over 1024-entry rows sharing one destination lane;
+/// * `server_tick_entitled` — each row lists what the entitled prober
+///   measures: the node's `~2√n` rendezvous servers plus a
+///   16-peer uniform sample, the shape every quorum workload produces.
 fn bench_round_two_tick(c: &mut Criterion) {
     use apor_linkstate::LinkStateMsg;
     use apor_routing::{ProtocolConfig, QuorumRouter, RoutingAlgorithm};
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     let mut g = c.benchmark_group("round_two_tick");
@@ -225,26 +230,54 @@ fn bench_round_two_tick(c: &mut Criterion) {
         let topo = bench_topology(n);
         let grid = Grid::new(n);
         let me = 0usize;
-        let own = ground_truth_row(&topo, me);
-        let mut router: QuorumRouter = QuorumRouter::new(me, n, 1, ProtocolConfig::quorum());
-        let mut rng = ChaCha8Rng::seed_from_u64(0x5EED);
-        let _ = router.on_routing_tick(0.0, &own, &mut rng);
-        for c_idx in grid.rendezvous_clients(me) {
-            let msg = Message::LinkState(LinkStateMsg {
-                from: NodeId::from_index(c_idx),
-                to: NodeId::from_index(me),
-                view: 1,
-                round: 1,
-                basis_ms: 250,
-                entries: ground_truth_row(&topo, c_idx),
-                seqno: 0,
-                retractions: vec![],
+        let mut sample_rng = ChaCha8Rng::seed_from_u64(0x5A3B1E);
+        // Self entry, entitled servers, then 16 distinct sampled peers.
+        let entitled_row = |i: usize, rng: &mut ChaCha8Rng| {
+            let mut keep = grid.rendezvous_servers(i);
+            keep.push(i);
+            let len = keep.len() + 16;
+            while keep.len() < len {
+                let j = rng.gen_range(0..n);
+                if !keep.contains(&j) {
+                    keep.push(j);
+                }
+            }
+            let truth = ground_truth_row(&topo, i);
+            let mut row = vec![LinkEntry::dead(); n];
+            for j in keep {
+                row[j] = truth[j];
+            }
+            row
+        };
+        for name in ["server_tick", "server_tick_entitled"] {
+            let mut row_of = |i: usize| {
+                if name == "server_tick" {
+                    ground_truth_row(&topo, i)
+                } else {
+                    entitled_row(i, &mut sample_rng)
+                }
+            };
+            let own = row_of(me);
+            let mut router: QuorumRouter = QuorumRouter::new(me, n, 1, ProtocolConfig::quorum());
+            let mut rng = ChaCha8Rng::seed_from_u64(0x5EED);
+            let _ = router.on_routing_tick(0.0, &own, &mut rng);
+            for c_idx in grid.rendezvous_clients(me) {
+                let msg = Message::LinkState(LinkStateMsg {
+                    from: NodeId::from_index(c_idx),
+                    to: NodeId::from_index(me),
+                    view: 1,
+                    round: 1,
+                    basis_ms: 250,
+                    entries: row_of(c_idx),
+                    seqno: 0,
+                    retractions: vec![],
+                });
+                let _ = router.on_message(0.25, &msg);
+            }
+            g.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
+                b.iter(|| black_box(router.on_routing_tick(0.5, &own, &mut rng).len()));
             });
-            let _ = router.on_message(0.25, &msg);
         }
-        g.bench_with_input(BenchmarkId::new("server_tick", n), &n, |b, _| {
-            b.iter(|| black_box(router.on_routing_tick(0.5, &own, &mut rng).len()));
-        });
     }
     g.finish();
 }

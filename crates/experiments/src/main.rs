@@ -25,6 +25,7 @@
 //!
 //! `--quick` shrinks the deployment/sweep sizes for a fast smoke run.
 //! CSV series land in ./results (override with APOR_RESULTS_DIR).
+//! An unknown command prints this usage to stderr and exits with 2.
 //! ```
 
 use apor_analysis::{write_csv, Cdf, Table};
@@ -34,13 +35,55 @@ use apor_experiments::{
     scale, theory_exp,
 };
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
+/// Every command `main` dispatches on.
+const COMMANDS: &[&str] = &[
+    "fig1",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig13",
+    "fig14",
+    "config",
+    "theory",
+    "multihop",
+    "lower-bound",
+    "ablations",
+    "churn",
+    "partition",
+    "detour",
+    "scale",
+    "all",
+];
+
+/// The command named by `args` (the first non-flag argument, `all` when
+/// there is none), or the usage text when it names no known command.
+fn command(args: &[String]) -> Result<&str, String> {
     let cmd = args
         .iter()
         .find(|a| !a.starts_with("--"))
         .map_or("all", String::as_str);
+    if COMMANDS.contains(&cmd) {
+        Ok(cmd)
+    } else {
+        Err(format!(
+            "unknown command `{cmd}`\nusage: apor-experiments <command> [--quick]\ncommands: {}",
+            COMMANDS.join(" ")
+        ))
+    }
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let quick = args.iter().any(|a| a == "--quick");
+    let cmd = match command(&args) {
+        Ok(cmd) => cmd,
+        Err(usage) => {
+            eprintln!("{usage}");
+            std::process::exit(2);
+        }
+    };
 
     let run = |name: &str| cmd == name || cmd == "all";
     let mut deployment_cache: Option<DeploymentData> = None;
@@ -324,4 +367,35 @@ fn report_freshness_single(data: &DeploymentData, src: usize, title: &str, csv_n
         &csv,
     )
     .expect("write csv");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{command, COMMANDS};
+
+    fn args(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| (*s).to_string()).collect()
+    }
+
+    #[test]
+    fn every_listed_command_parses_and_is_dispatched() {
+        let source = include_str!("main.rs");
+        for &cmd in COMMANDS {
+            assert_eq!(command(&args(&[cmd, "--quick"])), Ok(cmd));
+            assert!(
+                cmd == "all" || source.contains(&format!("run(\"{cmd}\")")),
+                "`{cmd}` is listed but never dispatched"
+            );
+        }
+        assert_eq!(command(&args(&["--quick"])), Ok("all"));
+    }
+
+    #[test]
+    fn unknown_command_is_an_error_with_usage() {
+        let err = command(&args(&["fgi9", "--quick"])).unwrap_err();
+        assert!(err.contains("unknown command `fgi9`"));
+        for &cmd in COMMANDS {
+            assert!(err.contains(cmd), "usage omits `{cmd}`");
+        }
+    }
 }

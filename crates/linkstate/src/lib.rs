@@ -16,7 +16,12 @@
 //!   are integer milliseconds in a `u16`, loss is quantized to
 //!   half-percent units — so integer cost arithmetic reproduces the
 //!   `f64` kernel bit-for-bit (two `u16` legs cannot overflow or round
-//!   in either domain). Rows carry receipt timestamps for the
+//!   in either domain). A rendezvous server's whole round two is one
+//!   call, [`LinkStateStore::best_hops_all_pairs`]: it buckets the
+//!   members' live entries by relay and min-reduces packed
+//!   `(cost, hop)` keys per member pair, once per unordered pair,
+//!   reproducing the per-pair kernel's hop, cost and tie-break exactly.
+//!   Rows carry receipt timestamps for the
 //!   3-routing-interval freshness rule of section 6.2.2; an optional
 //!   row entitlement is debug-asserted so a protocol regression back
 //!   to `O(n)` rows fails loudly.
@@ -50,8 +55,8 @@ pub mod wire;
 pub use entry::{Cost, LinkEntry, INFINITE_COST, INFINITE_COST_U32};
 pub use estimator::{LinkEstimator, ProbeOutcome};
 pub use store::{
-    best_one_hop_rows, seqno_newer, LaneRow, LinkStateStore, LiveEntries, RowCursor, RowRef,
-    RowStore,
+    best_one_hop_rows, seqno_newer, LaneRow, LinkStateStore, LiveEntries, PairHops, RowCursor,
+    RowRef, RowStore,
 };
 pub use table::LinkStateTable;
 pub use wire::{

@@ -39,6 +39,23 @@
 //!   neutral); when both rows list the same destinations — the steady
 //!   state for a warm quorum server — it collapses to an elementwise
 //!   lane reduction the compiler vectorizes.
+//! * [`LinkStateStore::best_hops_all_pairs`] — the round-two kernel a
+//!   rendezvous server actually runs: every ordered pair of its members
+//!   in one pass, inverted around the relay. A counting sort buckets
+//!   the members' live entries by hop; each bucket's member pairs
+//!   min-reduce a packed `(cost << 32) | hop` key, whose minimum is the
+//!   cheapest relay with the lowest hop index — the per-pair kernel's
+//!   tie-break, exactly. Direct costs come from the buckets of the hops
+//!   that are members, and a relay must be strictly cheaper to beat
+//!   one (direct wins ties, as in [`best_one_hop_rows`]). Both costs
+//!   are symmetric, so each unordered pair is computed once and
+//!   written for both directions ([`PairHops`]). Results equal the
+//!   per-pair kernel's bit for bit; [`best_one_hop_rows`] stays as the
+//!   single-pair API and the test oracle. Recomputing every pair each
+//!   tick is deliberate: on a steady n = 1024 run only 7.1% of held
+//!   rows and 0.74% of pairs were unchanged between a server's
+//!   consecutive ticks, so a per-pair result cache would almost never
+//!   hit (docs/ROUTING.md).
 //!
 //! The dense [`LinkStateTable`](crate::table::LinkStateTable) stays for
 //! the full-mesh baseline (which genuinely holds all `n` rows, each
@@ -607,6 +624,43 @@ pub fn best_one_hop_rows(
     (best_cost != INFINITE_COST_U32).then_some((best_hop, best_cost))
 }
 
+/// Round-two results for every ordered pair of a member list, from
+/// [`LinkStateStore::best_hops_all_pairs`]: an `m × m` matrix of packed
+/// `(cost << 32) | hop` keys, indexed by member position.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PairHops {
+    m: usize,
+    keys: Vec<u64>,
+}
+
+impl PairHops {
+    /// "No finite path" — above every packed `(cost, hop)` key.
+    const NONE: u64 = u64::MAX;
+
+    fn pack(cost: u32, hop: usize) -> u64 {
+        (u64::from(cost) << 32) | hop as u64
+    }
+
+    /// Number of members the matrix covers.
+    #[must_use]
+    pub fn member_count(&self) -> usize {
+        self.m
+    }
+
+    /// Best `(hop, cost)` from member `i` to member `j` (positions in
+    /// the member list), or `None` when no finite path exists.
+    ///
+    /// # Panics
+    /// Panics if `i` or `j` is not below [`PairHops::member_count`].
+    #[must_use]
+    pub fn get(&self, i: usize, j: usize) -> Option<(usize, Cost)> {
+        assert!(i < self.m && j < self.m, "member index out of range");
+        let k = self.keys[i * self.m + j];
+        #[allow(clippy::cast_possible_truncation)]
+        (k != Self::NONE).then(|| ((k & 0xFFFF_FFFF) as usize, f64::from((k >> 32) as u32)))
+    }
+}
+
 /// One owned link-state row in struct-of-arrays form: three parallel
 /// lanes holding the **live** entries only, strictly ascending by
 /// destination, in the exact wire quantization — `latency_ms` is the
@@ -928,9 +982,12 @@ pub trait LinkStateStore {
     // The round-two kernel — written once, over the trait
     // ------------------------------------------------------------------
 
-    /// **The round-two kernel.** Best one-hop path `a → h → b` (or the
-    /// direct link, represented as `h == b`) computable from rows `a`
-    /// and `b`, both of which must be fresh (≤ `max_age` at `now`).
+    /// **The round-two kernel** for one pair. Best one-hop path
+    /// `a → h → b` (or the direct link, represented as `h == b`)
+    /// computable from rows `a` and `b`, both of which must be fresh
+    /// (≤ `max_age` at `now`). A rendezvous server's per-tick pass runs
+    /// [`best_hops_all_pairs`](LinkStateStore::best_hops_all_pairs)
+    /// instead, which agrees with this exactly on every pair.
     ///
     /// Link costs are assumed symmetric (paper section 3), so the path
     /// cost is `row_a[h] + row_b[h]`; the direct cost is the *minimum*
@@ -961,36 +1018,127 @@ pub trait LinkStateStore {
         best_one_hop_rows(&row_a, &row_b, a, b).map(|(h, c)| (h, f64::from(c)))
     }
 
-    /// [`best_one_hop`](LinkStateStore::best_one_hop) for every
-    /// destination of one diamond in a single pass: all recommendations
-    /// a rendezvous server owes client `a` share the first-leg row `a`,
-    /// so the batch resolves that row (and its freshness) once and runs
-    /// the kernel per destination, instead of repeating the row lookup
-    /// `|dests|` times. The result is index-aligned with `dests`;
-    /// `dests[i] == a`, a stale/missing destination row, or no finite
-    /// path all yield `None` — exactly what the per-pair calls would
-    /// return.
-    fn best_hops_batch(
-        &self,
-        a: usize,
-        dests: &[usize],
-        now: f64,
-        max_age: f64,
-    ) -> Vec<Option<(usize, Cost)>> {
-        if !self.row_fresh(a, now, max_age) {
-            return vec![None; dests.len()];
-        }
-        let row_a = self.row_ref(a).expect("fresh row present");
-        dests
+    /// **The all-pairs round-two kernel.** [`best_one_hop`] for every
+    /// ordered pair of `members` in one pass over their rows — what a
+    /// rendezvous server owes its clients each tick. `result.get(i, j)`
+    /// equals `self.best_one_hop(members[i], members[j], now, max_age)`
+    /// exactly (hop, cost and tie-break); pairs with a stale or missing
+    /// row, and `i == j`, yield `None`.
+    ///
+    /// The per-pair kernel merge-joins two rows for each of the `m²`
+    /// ordered pairs; this one inverts the loop around the relay:
+    ///
+    /// * **Index.** A counting sort over `0..n` buckets every fresh
+    ///   member's live `(hop, cost)` entries by hop, ascending by member
+    ///   within a bucket. A member's entry for itself is left out: a
+    ///   path never relays through one of its own endpoints.
+    /// * **Relays.** For each hop `h` in ascending order, every pair
+    ///   `i < j` in `h`'s bucket has a path `i → h → j`; its packed key
+    ///   `(cost << 32) | h` is min-reduced into an `m × m` matrix. The
+    ///   minimum of the packed key is the cheapest relay with the
+    ///   lowest hop index among equal costs — the per-pair kernel's
+    ///   tie-break.
+    /// * **Direct links.** The bucket of the hop that *is* member `j`
+    ///   holds every `R_i[j]`, so the direct cost `min(R_i[j], R_j[i])`
+    ///   comes from the same index. A relay wins only when strictly
+    ///   cheaper, so direct wins ties, as in [`best_one_hop_rows`].
+    /// * **Symmetry.** Both the relay sum and the direct minimum are
+    ///   symmetric in the endpoints, so each unordered pair is computed
+    ///   once and written for both directions (a direct path's hop is
+    ///   the respective destination).
+    ///
+    /// Work is `Σ_h |bucket_h|²/2` packed-key updates plus `O(n + Σ k)`
+    /// indexing, instead of `m²` merge-joins of `O(k)` each; with
+    /// entitled rows most hops are listed by few members.
+    ///
+    /// [`best_one_hop`]: LinkStateStore::best_one_hop
+    fn best_hops_all_pairs(&self, members: &[usize], now: f64, max_age: f64) -> PairHops {
+        let n = self.len();
+        let m = members.len();
+        let rows: Vec<Option<RowRef<'_>>> = members
             .iter()
-            .map(|&d| {
-                if d == a || !self.row_fresh(d, now, max_age) {
-                    return None;
+            .map(|&v| {
+                if self.row_fresh(v, now, max_age) {
+                    self.row_ref(v)
+                } else {
+                    None
                 }
-                let row_d = self.row_ref(d).expect("fresh row present");
-                best_one_hop_rows(&row_a, &row_d, a, d).map(|(h, c)| (h, f64::from(c)))
             })
-            .collect()
+            .collect();
+
+        // Index: bucket `h` is `start[h]..start[h + 1]` of the parallel
+        // `member`/`cost` lanes, ascending by member.
+        let mut start = vec![0usize; n + 1];
+        for (row, &v) in rows.iter().zip(members) {
+            for (h, _) in row.iter().flat_map(RowRef::iter_costs) {
+                start[h + 1] += usize::from(h != v);
+            }
+        }
+        for h in 0..n {
+            start[h + 1] += start[h];
+        }
+        let mut fill = start[..n].to_vec();
+        let mut member = vec![0u32; start[n]];
+        let mut cost = vec![0u32; start[n]];
+        for (i, (row, &v)) in rows.iter().zip(members).enumerate() {
+            #[allow(clippy::cast_possible_truncation)]
+            let i = i as u32;
+            for (h, c) in row.iter().flat_map(RowRef::iter_costs) {
+                if h != v {
+                    (member[fill[h]], cost[fill[h]]) = (i, c);
+                    fill[h] += 1;
+                }
+            }
+        }
+        let span = |h: usize| start[h]..start[h + 1];
+
+        // Direct costs, upper triangle: `min(R_i[j], R_j[i])`. A member
+        // never lists itself in the index, so `i != j` here.
+        let mut direct = vec![INFINITE_COST_U32; m * m];
+        for (j, &v) in members.iter().enumerate() {
+            let (bm, bc) = (&member[span(v)], &cost[span(v)]);
+            for (&i, &c) in bm.iter().zip(bc) {
+                let i = i as usize;
+                let cell = &mut direct[i.min(j) * m + i.max(j)];
+                *cell = (*cell).min(c);
+            }
+        }
+
+        // Relays, upper triangle: min packed `(cost << 32) | h` key.
+        let mut keys = vec![PairHops::NONE; m * m];
+        for h in 0..n {
+            let (bm, bc) = (&member[span(h)], &cost[span(h)]);
+            for x in 0..bm.len() {
+                let base = PairHops::pack(bc[x], h);
+                let i = bm[x] as usize;
+                let row = &mut keys[i * m..(i + 1) * m];
+                for (&j, &cj) in bm[x + 1..].iter().zip(&bc[x + 1..]) {
+                    let cell = &mut row[j as usize];
+                    *cell = (*cell).min(base + (u64::from(cj) << 32));
+                }
+            }
+        }
+
+        // Choose relay or direct per unordered pair; write both directions.
+        for i in 0..m {
+            for j in i + 1..m {
+                let (up, down) = (i * m + j, j * m + i);
+                let (relay, d) = (keys[up], direct[up]);
+                let valid = rows[i].is_some() && rows[j].is_some() && members[i] != members[j];
+                (keys[up], keys[down]) = if !valid {
+                    (PairHops::NONE, PairHops::NONE)
+                } else if relay >> 32 < u64::from(d) {
+                    // A relay cost is a sum of two u16 legs, so a real
+                    // relay never reaches the u32 sentinel.
+                    (relay, relay)
+                } else if d != INFINITE_COST_U32 {
+                    (PairHops::pack(d, members[j]), PairHops::pack(d, members[i]))
+                } else {
+                    (PairHops::NONE, PairHops::NONE)
+                };
+            }
+        }
+        PairHops { m, keys }
     }
 
     /// All one-hop options from `a` to `b` with finite cost, sorted by

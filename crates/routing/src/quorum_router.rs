@@ -127,9 +127,6 @@ struct RouterCounters {
     /// Estimated heap bytes of the sparse `rec_seen` maps (16 bytes per
     /// `(dst, timestamp)` entry).
     rec_seen_bytes: Gauge,
-    /// What the pre-compaction dense layout would cost for the same
-    /// state: one `n × 8`-byte row per server that has ever recommended.
-    rec_seen_bytes_dense: Gauge,
     /// Wall-clock cost of one round-two recommendation pass, µs.
     round_two_us: Histogram,
 }
@@ -142,7 +139,6 @@ impl RouterCounters {
             recs_sent: t.counter("routing", "recs_sent"),
             rec_entries_received: t.counter("routing", "rec_entries_received"),
             rec_seen_bytes: t.gauge("routing", "rec_seen_bytes"),
-            rec_seen_bytes_dense: t.gauge("routing", "rec_seen_bytes_dense"),
             round_two_us: t.histogram("routing", "round_two_us"),
         }
     }
@@ -327,21 +323,16 @@ impl<S: LinkStateStore> QuorumRouter<S> {
         }
     }
 
-    /// Estimated heap bytes of the sparse `rec_seen` state, and what the
-    /// dense pre-compaction layout would cost for the same coverage.
+    /// Estimated heap bytes of the sparse `rec_seen` state (16 bytes per
+    /// `(dst, timestamp)` entry).
     #[must_use]
-    pub fn rec_seen_bytes(&self) -> (u64, u64) {
+    pub fn rec_seen_bytes(&self) -> u64 {
         let entries: usize = self.rec_seen.iter().map(BTreeMap::len).sum();
-        let active = self.rec_seen.iter().filter(|m| !m.is_empty()).count();
-        let sparse = (entries * 16) as u64;
-        let dense = (active * self.n * 8) as u64;
-        (sparse, dense)
+        (entries * 16) as u64
     }
 
     fn update_rec_seen_gauges(&self) {
-        let (sparse, dense) = self.rec_seen_bytes();
-        self.counters.rec_seen_bytes.set(sparse);
-        self.counters.rec_seen_bytes_dense.set(dense);
+        self.counters.rec_seen_bytes.set(self.rec_seen_bytes());
     }
 
     /// The route-discipline state (feasibility distances, detour
@@ -695,40 +686,37 @@ impl<S: LinkStateStore> QuorumRouter<S> {
     /// Round two, as a rendezvous server: recommendations for each fresh
     /// client about every other fresh client (and about me). With the
     /// sparse store, enumerating clients scans the `O(√n)` held rows
-    /// instead of all `n` indices.
+    /// instead of all `n` indices; one all-pairs kernel call
+    /// ([`LinkStateStore::best_hops_all_pairs`]) then answers every
+    /// (client, destination) pair.
     fn compute_recommendations(&mut self, now: f64) -> Vec<Message> {
         let started = std::time::Instant::now();
         let max_age = self.config.staleness_s();
-        let mut clients: Vec<usize> = self
+        // Clients ascending (`present_rows` is), then me: I count as a
+        // destination for my clients (my row is always fresh).
+        let mut members: Vec<usize> = self
             .table
             .present_rows()
             .into_iter()
             .filter(|&c| c != self.me)
             .filter(|&c| self.table.row_fresh(c, now, max_age))
             .collect();
-        // I count as a destination for my clients (my row is always fresh).
+        let clients = members.len();
+        members.push(self.me);
+        let hops = self.table.best_hops_all_pairs(&members, now, max_age);
         let mut msgs = Vec::new();
-        let dests_base = {
-            let mut d = clients.clone();
-            d.push(self.me);
-            d
-        };
-        clients.sort_unstable();
-        for &c in &clients {
-            // One batch call per client: the client's first-leg row is
-            // resolved once and swept once per destination, instead of
-            // re-fetched per (client, destination) pair.
-            let hops = self.table.best_hops_batch(c, &dests_base, now, max_age);
-            let mut recs = Vec::with_capacity(dests_base.len());
-            for (&d, hop) in dests_base.iter().zip(hops) {
-                if let Some((hop, cost)) = hop {
-                    recs.push(RecEntry {
+        for (i, &c) in members[..clients].iter().enumerate() {
+            let recs: Vec<RecEntry> = members
+                .iter()
+                .enumerate()
+                .filter_map(|(j, &d)| {
+                    hops.get(i, j).map(|(hop, cost)| RecEntry {
                         dst: NodeId::from_index(d),
                         hop: NodeId::from_index(hop),
                         cost_ms: LinkEntry::quantize_latency(cost),
-                    });
-                }
-            }
+                    })
+                })
+                .collect();
             if recs.is_empty() {
                 continue;
             }
@@ -1094,8 +1082,8 @@ mod tests {
     }
 
     /// `rec_seen` holds entries only for (server, dst) pairs that were
-    /// actually recommended, and the byte gauges report the sparse
-    /// layout as strictly cheaper than the dense one it replaced.
+    /// actually recommended, and the byte gauge reports exactly that
+    /// sparse footprint.
     #[test]
     fn rec_seen_is_sparse_and_gauged() {
         let telemetry = Telemetry::new(3);
@@ -1122,22 +1110,148 @@ mod tests {
             }
         }
 
-        let (sparse, dense) = r.rec_seen_bytes();
-        assert!(
-            sparse > 0 && sparse < dense,
-            "sparse {sparse} vs dense {dense}"
-        );
+        let bytes = r.rec_seen_bytes();
+        assert_eq!(bytes, (total_entries * 16) as u64);
+        assert!(bytes > 0);
         let snap = telemetry.snapshot();
-        assert_eq!(snap.gauge(3, "routing", "rec_seen_bytes"), Some(sparse));
-        assert_eq!(
-            snap.gauge(3, "routing", "rec_seen_bytes_dense"),
-            Some(dense)
-        );
+        assert_eq!(snap.gauge(3, "routing", "rec_seen_bytes"), Some(bytes));
         assert_eq!(
             snap.counter(3, "routing", "rec_entries_received"),
             Some(r.metrics().rec_entries_received)
         );
         assert!(snap.counter(3, "routing", "ls_sent").unwrap_or(0) > 0);
+    }
+
+    /// A server's round-two messages from `on_routing_tick` equal the
+    /// messages rebuilt pair by pair with `best_one_hop` over the same
+    /// store — across default and failover clients, rows straddling the
+    /// staleness bound, and tie-prone costs — and the two directions of
+    /// every client pair agree on hop and cost.
+    #[test]
+    fn recommendations_match_pairwise_oracle() {
+        use rand::Rng;
+
+        let n = 49;
+        let me = 24;
+        let cfg = ProtocolConfig::quorum();
+        let max_age = cfg.staleness_s();
+        let mut r = QuorumRouter::new(me, n, 0, cfg.clone());
+        let mut draw = ChaCha8Rng::seed_from_u64(99);
+        let row_for = |o: usize, draw: &mut ChaCha8Rng| -> Vec<LinkEntry> {
+            (0..n)
+                .map(|d| match draw.gen_range(0u32..10) {
+                    _ if d == o => LinkEntry::live(0, 0.0),
+                    0..=5 => LinkEntry::live(draw.gen_range(1u16..6), 0.0),
+                    6 => LinkEntry::live(65534, 0.0),
+                    _ => LinkEntry::dead(),
+                })
+                .collect()
+        };
+        let defaults = r.grid().rendezvous_clients(me);
+        let failover: Vec<usize> = (0..n)
+            .filter(|v| *v != me && !defaults.contains(v))
+            .step_by(9)
+            .collect();
+        assert!(!failover.is_empty());
+        let senders: Vec<usize> = defaults.iter().chain(&failover).copied().collect();
+        // Sender k's row lands at 10 + k/2 s, so a tick at
+        // 10 + max_age + j/2 s sees sender j exactly at the staleness
+        // bound (fresh) and sender j − 1 just past it (stale).
+        let deliver = |r: &mut QuorumRouter, k: usize, from: usize, row: Vec<LinkEntry>| {
+            let msg = Message::LinkState(LinkStateMsg {
+                from: NodeId::from_index(from),
+                to: NodeId::from_index(me),
+                view: 0,
+                round: 1,
+                basis_ms: 0,
+                entries: row,
+                seqno: 0,
+                retractions: vec![],
+            });
+            r.on_message(10.0 + 0.5 * k as f64, &msg);
+        };
+        for (k, &from) in senders.iter().enumerate() {
+            deliver(&mut r, k, from, row_for(from, &mut draw));
+        }
+        let own = row_for(me, &mut draw);
+        let mut tick_rng = rng();
+        let mut checked_stale = false;
+        for j in 0..=senders.len() {
+            let now = 10.0 + max_age + 0.5 * j as f64;
+            let msgs = r.on_routing_tick(now, &own, &mut tick_rng);
+            let got: Vec<&RecommendationMsg> = msgs
+                .iter()
+                .filter_map(|m| match m {
+                    Message::Recommendations(rm) => Some(rm),
+                    _ => None,
+                })
+                .collect();
+
+            let store = r.table();
+            let clients: Vec<usize> = store
+                .present_rows()
+                .into_iter()
+                .filter(|&c| c != me && store.row_fresh(c, now, max_age))
+                .collect();
+            assert_eq!(clients.len(), senders.len() - j, "tick {j}");
+            checked_stale |= j > 0 && j < senders.len();
+            let mut dests = clients.clone();
+            dests.push(me);
+            let want: Vec<(usize, Vec<RecEntry>)> = clients
+                .iter()
+                .map(|&c| {
+                    let recs = dests
+                        .iter()
+                        .filter_map(|&d| {
+                            store
+                                .best_one_hop(c, d, now, max_age)
+                                .map(|(hop, cost)| RecEntry {
+                                    dst: NodeId::from_index(d),
+                                    hop: NodeId::from_index(hop),
+                                    cost_ms: LinkEntry::quantize_latency(cost),
+                                })
+                        })
+                        .collect();
+                    (c, recs)
+                })
+                .filter(|(_, recs): &(usize, Vec<RecEntry>)| !recs.is_empty())
+                .collect();
+            assert_eq!(got.len(), want.len(), "tick {j}");
+            for (rm, (c, recs)) in got.iter().zip(&want) {
+                assert_eq!(rm.to.index(), *c);
+                assert_eq!(rm.from.index(), me);
+                assert_eq!(&rm.recs, recs, "tick {j} client {c}");
+            }
+
+            // Symmetry: c's rec about d mirrors d's rec about c.
+            let rec = |c: usize, d: usize| {
+                got.iter()
+                    .find(|rm| rm.to.index() == c)
+                    .and_then(|rm| rm.recs.iter().find(|e| e.dst.index() == d))
+                    .map(|e| (e.hop.index(), e.cost_ms))
+            };
+            for &c in &clients {
+                for &d in &clients {
+                    if c == d {
+                        continue;
+                    }
+                    match (rec(c, d), rec(d, c)) {
+                        (Some((h, cost)), Some((rh, rcost))) => {
+                            assert_eq!(cost, rcost, "{c}↔{d}");
+                            assert!(h == rh || (h == d && rh == c), "{c}↔{d}");
+                        }
+                        (None, None) => {}
+                        other => panic!("{c}↔{d} asymmetric: {other:?}"),
+                    }
+                }
+            }
+            // Fresh rows for the next tick's senders keep costs moving.
+            if j % 2 == 1 && j < senders.len() {
+                let k = senders.len() - 1;
+                deliver(&mut r, k, senders[k], row_for(senders[k], &mut draw));
+            }
+        }
+        assert!(checked_stale);
     }
 
     /// The sparse store and the dense baseline run the identical

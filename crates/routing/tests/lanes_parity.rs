@@ -6,7 +6,8 @@
 //! lane-backed `RowStore`, and a borrowed `RowRef::Sparse` view), and
 //! the lanes themselves must hold the exact wire bytes so a row that
 //! travelled through `wire.rs` encode/decode is bit-identical to one
-//! stored directly.
+//! stored directly. The all-pairs round-two kernel must in turn equal
+//! the per-pair kernel on every ordered pair of members.
 
 use apor_linkstate::wire::{LinkStateMsg, SparseLinkStateMsg};
 use apor_linkstate::{
@@ -34,46 +35,63 @@ fn arb_row(n: usize) -> impl Strategy<Value = Vec<LinkEntry>> {
     )
 }
 
-/// Random `(origin, row)` specs at width `n` with variable live
-/// density per row — including all-dead and ~single-entry rows, the
-/// batch kernel's edge cases. Density tier 0 yields an empty row, tier
-/// 1 about one live entry, tiers 2–3 half/nearly full rows.
-fn arb_sparse_rows(n: usize) -> impl Strategy<Value = Vec<(usize, Vec<LinkEntry>)>> {
-    prop::collection::vec(
-        (
-            0..n,
-            0usize..4,
-            prop::collection::vec((1u16..2000, 0u8..100), n),
+/// One leg latency for the all-pairs property: a narrow 1–3 ms band
+/// (equal-cost relays and direct/relay ties are common), the wide
+/// range, or the largest live wire latency, 65534 ms.
+fn arb_leg() -> impl Strategy<Value = u16> {
+    prop_oneof![1u16..4, 1u16..2000, 65534u16..65535]
+}
+
+/// A store and a member list for the all-pairs kernel at width `n`.
+/// Each `(origin, stale, row)` row holds its self entry at 0 ms and a
+/// live density tier — tier 0 yields an empty row, tier 1 about one
+/// live entry, tiers 2–3 half/nearly full rows, the kernel's index
+/// edge cases; about one row in five is stale at query time. Members
+/// are a random subset of `0..n` in random order, so some have no row
+/// at all.
+#[allow(clippy::type_complexity)]
+fn arb_all_pairs_case(
+    n: usize,
+) -> impl Strategy<Value = (Vec<(usize, bool, Vec<LinkEntry>)>, Vec<usize>)> {
+    (
+        prop::collection::vec(
+            (
+                0..n,
+                0usize..4,
+                prop::bool::weighted(0.2),
+                prop::collection::vec((arb_leg(), 0u8..100), n),
+            ),
+            1..12,
         ),
-        1..8,
+        prop::collection::vec(any::<u32>(), n),
+        2..=n,
     )
-    .prop_map(move |specs| {
-        specs
-            .into_iter()
-            .map(|(o, tier, raw)| {
-                let threshold = match tier {
-                    0 => 0,
-                    1 => 100 / n as u8,
-                    2 => 50,
-                    _ => 90,
-                };
-                let row: Vec<LinkEntry> = raw
-                    .into_iter()
-                    .enumerate()
-                    .map(|(j, (lat, roll))| {
-                        if j == o {
-                            LinkEntry::live(0, 0.0)
-                        } else if roll < threshold {
-                            LinkEntry::live(lat, 0.0)
-                        } else {
-                            LinkEntry::dead()
-                        }
-                    })
-                    .collect();
-                (o, row)
-            })
-            .collect()
-    })
+        .prop_map(move |(specs, keys, m)| {
+            let rows = specs
+                .into_iter()
+                .map(|(o, tier, stale, raw)| {
+                    let threshold = [0, 100 / n as u8, 50, 90][tier];
+                    let row = raw
+                        .into_iter()
+                        .enumerate()
+                        .map(|(j, (lat, roll))| {
+                            if j == o {
+                                LinkEntry::live(0, 0.0)
+                            } else if roll < threshold {
+                                LinkEntry::live(lat, 0.0)
+                            } else {
+                                LinkEntry::dead()
+                            }
+                        })
+                        .collect();
+                    (o, stale, row)
+                })
+                .collect();
+            let mut members: Vec<usize> = (0..n).collect();
+            members.sort_by_key(|&v| keys[v]);
+            members.truncate(m);
+            (rows, members)
+        })
 }
 
 /// Live `(dst, entry)` pairs of a dense row, ascending — the
@@ -135,30 +153,6 @@ proptest! {
         }
     }
 
-    /// `best_hops_batch` is exactly n independent `best_one_hop` calls,
-    /// including over all-dead and single-entry rows.
-    #[test]
-    fn batch_matches_singles(spec in arb_sparse_rows(16)) {
-        let n = 16;
-        let mut store = RowStore::new(n);
-        for (o, row) in &spec {
-            store.update_row(*o, row, 0.0);
-        }
-        let dests: Vec<usize> = (0..n).collect();
-        for (a, _) in &spec {
-            let batch = store.best_hops_batch(*a, &dests, 1.0, 45.0);
-            prop_assert_eq!(batch.len(), dests.len());
-            for (&d, got) in dests.iter().zip(batch) {
-                let want = if d == *a {
-                    None
-                } else {
-                    store.best_one_hop(*a, d, 1.0, 45.0)
-                };
-                prop_assert_eq!(got, want, "a={} d={}", a, d);
-            }
-        }
-    }
-
     /// Lane rows hold the exact wire bytes: a row stored after a
     /// `wire.rs` encode/decode round trip is bit-identical to the same
     /// row stored directly, for arbitrary latency/liveness/loss —
@@ -208,8 +202,45 @@ proptest! {
     }
 }
 
-/// A stale first-leg row makes the whole batch `None` — matching what
-/// n freshness-checked `best_one_hop` calls would return.
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// The all-pairs kernel is exactly `m²` independent `best_one_hop`
+    /// calls, over either store, for members in any order — including
+    /// members with stale or missing rows, self entries at 0 ms,
+    /// equal-cost relays, direct/relay ties and 65534-ms legs.
+    #[test]
+    fn batch_matches_singles(case in arb_all_pairs_case(16)) {
+        let n = 16;
+        let (spec, members) = case;
+        let mut lanes = RowStore::new(n);
+        let mut dense = LinkStateTable::new(n);
+        for (o, stale, row) in &spec {
+            // Stored at -100 s: older than max_age at t = 1.
+            let at = if *stale { -100.0 } else { 0.0 };
+            lanes.update_row(*o, row, at);
+            dense.update_row(*o, row, at);
+        }
+        let got = lanes.best_hops_all_pairs(&members, 1.0, 45.0);
+        prop_assert_eq!(got.member_count(), members.len());
+        prop_assert_eq!(&dense.best_hops_all_pairs(&members, 1.0, 45.0), &got);
+        for (i, &a) in members.iter().enumerate() {
+            for (j, &b) in members.iter().enumerate() {
+                let want = lanes.best_one_hop(a, b, 1.0, 45.0);
+                prop_assert_eq!(got.get(i, j), want, "a={} b={}", a, b);
+                // One unordered pair, one path: the reverse direction
+                // shares the cost, and the hop unless it is direct.
+                if let (Some((h, c)), Some((rh, rc))) = (want, got.get(j, i)) {
+                    prop_assert_eq!(c, rc);
+                    prop_assert!(h == rh || (h == b && rh == a), "a={} b={}", a, b);
+                }
+            }
+        }
+    }
+}
+
+/// A stale member row makes every pair it is in `None` — matching what
+/// freshness-checked `best_one_hop` calls would return.
 #[test]
 fn batch_all_none_when_row_stale() {
     let n = 8;
@@ -217,14 +248,64 @@ fn batch_all_none_when_row_stale() {
     let row: Vec<LinkEntry> = (0..n as u16).map(|d| LinkEntry::live(d + 1, 0.0)).collect();
     store.update_row(0, &row, 0.0);
     store.update_row(1, &row, 0.0);
-    let dests: Vec<usize> = (0..n).collect();
-    // Fresh at t=1, stale at t=100 (max_age 45).
-    assert!(store
-        .best_hops_batch(0, &dests, 1.0, 45.0)
-        .iter()
-        .any(Option::is_some));
-    assert!(store
-        .best_hops_batch(0, &dests, 100.0, 45.0)
-        .iter()
-        .all(Option::is_none));
+    store.update_row(2, &row, 50.0);
+    store.update_row(3, &row, 50.0);
+    let members = [3, 0, 2, 1];
+    // At t=40 every row is fresh (max_age 45).
+    let fresh = store.best_hops_all_pairs(&members, 40.0, 45.0);
+    assert!(fresh.get(1, 3).is_some());
+    // At t=60 rows 0 and 1 are stale: only the pair {2, 3} survives.
+    let late = store.best_hops_all_pairs(&members, 60.0, 45.0);
+    for i in 0..members.len() {
+        for j in 0..members.len() {
+            let live = i != j && members[i] >= 2 && members[j] >= 2;
+            assert_eq!(late.get(i, j).is_some(), live, "i={i} j={j}");
+        }
+    }
+}
+
+/// The packed-key tie-breaks, pinned on hand-built rows: equal-cost
+/// relays go to the lowest hop index, a relay exactly as cheap as the
+/// direct link loses to it, and two 65534-ms legs still make a path.
+#[test]
+fn all_pairs_tie_breaks() {
+    let n = 8;
+    let dead = LinkEntry::dead();
+    let live = |ms| LinkEntry::live(ms, 0.0);
+    let mut store = RowStore::new(n);
+    // 0 ↔ 1: direct 4; relays 3 (2 + 2) and 4 (1 + 3), both at cost 4.
+    // 0 ↔ 2: no direct; relays 5 and 6 (1 + 1), both at cost 2.
+    // 1 ↔ 2: no direct; only relay 7 at 65534 + 65534.
+    let mut r0 = vec![dead; n];
+    r0[0] = live(0);
+    r0[1] = live(4);
+    r0[3] = live(2);
+    r0[4] = live(1);
+    r0[5] = live(1);
+    r0[6] = live(1);
+    let mut r1 = vec![dead; n];
+    r1[1] = live(0);
+    r1[3] = live(2);
+    r1[4] = live(3);
+    r1[7] = live(65534);
+    let mut r2 = vec![dead; n];
+    r2[2] = live(0);
+    r2[5] = live(1);
+    r2[6] = live(1);
+    r2[7] = live(65534);
+    for (o, r) in [(0, &r0), (1, &r1), (2, &r2)] {
+        store.update_row(o, r, 0.0);
+    }
+    let members = [0, 1, 2];
+    let got = store.best_hops_all_pairs(&members, 1.0, 45.0);
+    assert_eq!(got.get(0, 1), Some((1, 4.0)));
+    assert_eq!(got.get(1, 0), Some((0, 4.0)));
+    assert_eq!(got.get(0, 2), Some((5, 2.0)));
+    assert_eq!(got.get(2, 0), Some((5, 2.0)));
+    assert_eq!(got.get(1, 2), Some((7, 131_068.0)));
+    for (i, &a) in members.iter().enumerate() {
+        for (j, &b) in members.iter().enumerate() {
+            assert_eq!(got.get(i, j), store.best_one_hop(a, b, 1.0, 45.0));
+        }
+    }
 }

@@ -151,7 +151,7 @@ fn bench_floyd_warshall(c: &mut Criterion) {
 /// instead of `O(n²)` — at n = 1024 the dense arm is the only one that
 /// still touches a 24 MB table.
 fn bench_dense_vs_sparse(c: &mut Criterion) {
-    use apor_linkstate::RowStore;
+    use apor_linkstate::{LaneRow, RowStore};
 
     let mut g = c.benchmark_group("dense_vs_sparse");
     for n in [100usize, 400, 1024] {
@@ -168,15 +168,18 @@ fn bench_dense_vs_sparse(c: &mut Criterion) {
         let mut dense = LinkStateTable::new(n);
         let mut sparse = RowStore::new(n);
         for (i, row) in &rows {
-            dense.update_row(*i, row, 0.0);
-            sparse.update_row(*i, row, 0.0);
+            dense.put_dense(*i, row, 0.0);
+            sparse.put_row(*i, LaneRow::from_dense(row), 0.0);
         }
         let (merge_origin, merge_row) = rows[rows.len() / 2].clone();
         g.bench_with_input(BenchmarkId::new("merge_dense", n), &n, |b, _| {
-            b.iter(|| dense.update_row(black_box(merge_origin), black_box(&merge_row), 1.0));
+            b.iter(|| dense.put_dense(black_box(merge_origin), black_box(&merge_row), 1.0));
         });
         g.bench_with_input(BenchmarkId::new("merge_sparse", n), &n, |b, _| {
-            b.iter(|| sparse.update_row(black_box(merge_origin), black_box(&merge_row), 1.0));
+            b.iter(|| {
+                let row = LaneRow::from_dense(black_box(&merge_row));
+                sparse.put_row(black_box(merge_origin), row, 1.0)
+            });
         });
         let (a, bb) = (held[0], held[held.len() - 1]);
         g.bench_with_input(BenchmarkId::new("best_hop_dense", n), &n, |b, _| {

@@ -11,7 +11,7 @@
 
 #![forbid(unsafe_code)]
 
-use apor_linkstate::{LinkEntry, LinkStateStore, LinkStateTable};
+use apor_linkstate::{LinkEntry, LinkStateTable};
 use apor_routing::onehop;
 use apor_topology::{PlanetLabParams, Topology};
 
@@ -39,7 +39,7 @@ pub fn full_table(topo: &Topology) -> LinkStateTable {
     let n = topo.len();
     let mut table = LinkStateTable::new(n);
     for i in 0..n {
-        table.update_row(i, &ground_truth_row(topo, i), 0.0);
+        table.put_dense(i, &ground_truth_row(topo, i), 0.0);
     }
     table
 }
@@ -47,6 +47,7 @@ pub fn full_table(topo: &Topology) -> LinkStateTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apor_linkstate::LinkStateStore;
 
     #[test]
     fn fixtures_consistent() {

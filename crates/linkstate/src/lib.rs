@@ -24,11 +24,16 @@
 //!   Rows carry receipt timestamps for the
 //!   3-routing-interval freshness rule of section 6.2.2; an optional
 //!   row entitlement is debug-asserted so a protocol regression back
-//!   to `O(n)` rows fails loudly.
+//!   to `O(n)` rows fails loudly. A [`LaneRow`] is also the one row
+//!   contract: it carries the origin's seqno and retraction lane, and
+//!   every whole-row write — a wire frame, the node's own row, a row
+//!   carried across a view remap — enters a store through
+//!   [`LinkStateStore::put_row`], which refuses stale replays.
 //! * [`table`] / [`entry`] — the dense `n × n` table, kept for the
-//!   full-mesh baseline (which holds every row by design) and as the
-//!   reference store in tests; it implements the same trait, so both
-//!   stores run the identical kernel.
+//!   full-mesh baseline (which holds every row by design and ingests
+//!   its dense frames by slice copy, see [`table`] for the measured
+//!   reason) and as the reference store in tests; it implements the
+//!   same trait, so both stores run the identical kernel.
 //! * [`estimator`] — per-neighbour latency EWMA, loss window and the
 //!   5-consecutive-failed-probes liveness rule of RON.
 //! * [`wire`] — the compact binary message formats. The paper's section 6

@@ -7,7 +7,10 @@
 //! module makes storage honour that bound:
 //!
 //! * [`LinkStateStore`] — the trait both stores implement. The required
-//!   methods are pure storage (put/get/drop rows); the **round-two
+//!   methods are pure storage: one row write,
+//!   [`put_row`](LinkStateStore::put_row), taking a [`LaneRow`] with its
+//!   seqno and retractions and applying the stale-replay guard, plus
+//!   entry updates, reads and clears. The **round-two
 //!   kernel** ([`best_one_hop`](LinkStateStore::best_one_hop),
 //!   [`one_hop_options`](LinkStateStore::one_hop_options),
 //!   [`anyone_reaches`](LinkStateStore::anyone_reaches)) is written once
@@ -25,15 +28,15 @@
 //!   bound. An optional row *entitlement* is debug-asserted on insert,
 //!   so a protocol bug that re-grows `O(n)` rows fails loudly in tests
 //!   instead of silently reintroducing the quadratic table.
-//! * [`RowRef`] — a borrowed view of one row: dense, sparse pairs, or
-//!   lanes. The round-two kernel is written once over it (see
-//!   [`best_one_hop_rows`]) and is **integer-only**: the latency lanes
-//!   are already integer milliseconds (the wire carries nothing finer),
-//!   so a path cost is a `u32` add of two `u16` legs with `u32::MAX` as
-//!   the infinite sentinel — bit-identical to the historical `f64`
-//!   computation, because every `u16` sum is exactly representable in
-//!   both domains. The kernel walks the *live* entries of both rows in
-//!   an ascending merge-join, which reproduces the dense `h = 0..n`
+//! * [`RowRef`] — a borrowed view of one row: the dense table's slice
+//!   or a [`LaneRow`]'s lanes. The round-two kernel is written once
+//!   over it (see [`best_one_hop_rows`]) and is **integer-only**: the
+//!   latency lanes are already integer milliseconds (the wire carries
+//!   nothing finer), so a path cost is a `u32` add of two `u16` legs
+//!   with `u32::MAX` as the infinite sentinel — bit-identical to the
+//!   historical `f64` computation, because every `u16` sum is exactly
+//!   representable in both domains. The kernel walks the *live* entries
+//!   of both rows in an ascending merge-join, which reproduces the dense `h = 0..n`
 //!   scan's lowest-index tie-break exactly (dead entries have infinite
 //!   cost and can never win, so skipping them is observationally
 //!   neutral); when both rows list the same destinations — the steady
@@ -65,27 +68,18 @@ use crate::entry::{Cost, LinkEntry, INFINITE_COST, INFINITE_COST_U32};
 use apor_telemetry::{Counter, EventKind, Gauge, Severity, Telemetry};
 use std::collections::BTreeMap;
 
-/// A borrowed view of one link-state row: dense, sparse pairs, or lanes.
+/// A borrowed view of one link-state row: dense or lanes.
 ///
-/// Sparse rows hold `(dst, entry)` pairs strictly ascending by `dst`;
-/// destinations not listed read as [`LinkEntry::dead`]. Lane rows are
-/// the struct-of-arrays equivalent (see [`LaneRow`]): three parallel
-/// slices in wire quantization, holding **live entries only**. All
-/// variants expose `O(1)`/`O(log k)` random access and an ascending
-/// iterator over *live* entries, which is all the round-two kernel
-/// needs; repeated ascending probes should go through [`RowRef::cursor`]
+/// Lane rows (see [`LaneRow`]) are three parallel slices in wire
+/// quantization holding **live entries only**; destinations not listed
+/// read as [`LinkEntry::dead`]. Both variants expose `O(1)`/`O(log k)`
+/// random access and an ascending iterator over *live* entries, which
+/// is all the round-two kernel needs; repeated ascending probes should go through [`RowRef::cursor`]
 /// instead of [`RowRef::get`].
 #[derive(Debug, Clone, Copy)]
 pub enum RowRef<'a> {
     /// A full-width row — every destination has an explicit entry.
     Dense(&'a [LinkEntry]),
-    /// Live-entries-only row over a row of `width` destinations.
-    Sparse {
-        /// Full row width (`n`); destinations ≥ `width` are out of range.
-        width: usize,
-        /// `(dst, entry)` pairs, strictly ascending by `dst`.
-        entries: &'a [(u16, LinkEntry)],
-    },
     /// Struct-of-arrays live entries over a row of `width` destinations.
     ///
     /// The three lanes are index-aligned and hold live entries only,
@@ -111,7 +105,7 @@ impl<'a> RowRef<'a> {
     pub fn width(&self) -> usize {
         match self {
             RowRef::Dense(r) => r.len(),
-            RowRef::Sparse { width, .. } | RowRef::Lanes { width, .. } => *width,
+            RowRef::Lanes { width, .. } => *width,
         }
     }
 
@@ -123,13 +117,6 @@ impl<'a> RowRef<'a> {
     pub fn get(&self, dst: usize) -> LinkEntry {
         match self {
             RowRef::Dense(r) => r[dst],
-            RowRef::Sparse { width, entries } => {
-                assert!(dst < *width, "dst {dst} out of range");
-                match entries.binary_search_by_key(&(dst as u16), |e| e.0) {
-                    Ok(i) => entries[i].1,
-                    Err(_) => LinkEntry::dead(),
-                }
-            }
             RowRef::Lanes {
                 width,
                 dst: dsts,
@@ -154,13 +141,6 @@ impl<'a> RowRef<'a> {
     pub fn cost_u32(&self, dst: usize) -> u32 {
         match self {
             RowRef::Dense(r) => r[dst].cost_u32(),
-            RowRef::Sparse { width, entries } => {
-                assert!(dst < *width, "dst {dst} out of range");
-                match entries.binary_search_by_key(&(dst as u16), |e| e.0) {
-                    Ok(i) => entries[i].1.cost_u32(),
-                    Err(_) => INFINITE_COST_U32,
-                }
-            }
             RowRef::Lanes {
                 width,
                 dst: dsts,
@@ -191,9 +171,6 @@ impl<'a> RowRef<'a> {
     pub fn iter_live(&self) -> LiveEntries<'a> {
         match self {
             RowRef::Dense(r) => LiveEntries::Dense { row: r, next: 0 },
-            RowRef::Sparse { entries, .. } => LiveEntries::Sparse {
-                iter: entries.iter(),
-            },
             RowRef::Lanes {
                 dst,
                 latency_ms,
@@ -213,10 +190,7 @@ impl<'a> RowRef<'a> {
     /// loss reconstruction) is materialised.
     fn iter_costs(&self) -> LiveCosts<'a> {
         match self {
-            RowRef::Dense(r) => LiveCosts::Dense { row: r, next: 0 },
-            RowRef::Sparse { entries, .. } => LiveCosts::Sparse {
-                iter: entries.iter(),
-            },
+            RowRef::Dense(r) => LiveCosts::Dense(r.iter().enumerate()),
             RowRef::Lanes {
                 dst, latency_ms, ..
             } => LiveCosts::Lanes {
@@ -232,13 +206,6 @@ impl<'a> RowRef<'a> {
     pub fn to_dense(&self) -> Vec<LinkEntry> {
         match self {
             RowRef::Dense(r) => r.to_vec(),
-            RowRef::Sparse { width, entries } => {
-                let mut out = vec![LinkEntry::dead(); *width];
-                for &(dst, e) in *entries {
-                    out[dst as usize] = e;
-                }
-                out
-            }
             RowRef::Lanes { width, .. } => {
                 let mut out = vec![LinkEntry::dead(); *width];
                 for (dst, e) in self.iter_live() {
@@ -259,11 +226,6 @@ pub enum LiveEntries<'a> {
         row: &'a [LinkEntry],
         /// Next index to examine.
         next: usize,
-    },
-    /// Walking a sparse row's stored pairs.
-    Sparse {
-        /// Remaining pairs.
-        iter: std::slice::Iter<'a, (u16, LinkEntry)>,
     },
     /// Walking a lane row's parallel slices (live by construction).
     Lanes {
@@ -293,10 +255,6 @@ impl Iterator for LiveEntries<'_> {
                 }
                 None
             }
-            LiveEntries::Sparse { iter } => iter
-                .by_ref()
-                .find(|(_, e)| e.alive)
-                .map(|&(d, e)| (d as usize, e)),
             LiveEntries::Lanes {
                 dst,
                 latency_ms,
@@ -323,13 +281,7 @@ impl Iterator for LiveEntries<'_> {
 /// it never reconstructs a `LinkEntry` (no `f32` loss division on the
 /// hot path).
 enum LiveCosts<'a> {
-    Dense {
-        row: &'a [LinkEntry],
-        next: usize,
-    },
-    Sparse {
-        iter: std::slice::Iter<'a, (u16, LinkEntry)>,
-    },
+    Dense(std::iter::Enumerate<std::slice::Iter<'a, LinkEntry>>),
     Lanes {
         dst: &'a [u16],
         latency_ms: &'a [u16],
@@ -342,20 +294,9 @@ impl Iterator for LiveCosts<'_> {
 
     fn next(&mut self) -> Option<(usize, u32)> {
         match self {
-            LiveCosts::Dense { row, next } => {
-                while *next < row.len() {
-                    let i = *next;
-                    *next += 1;
-                    if row[i].alive {
-                        return Some((i, u32::from(row[i].latency_ms)));
-                    }
-                }
-                None
-            }
-            LiveCosts::Sparse { iter } => iter
-                .by_ref()
+            LiveCosts::Dense(entries) => entries
                 .find(|(_, e)| e.alive)
-                .map(|&(d, e)| (d as usize, u32::from(e.latency_ms))),
+                .map(|(i, e)| (i, u32::from(e.latency_ms))),
             LiveCosts::Lanes {
                 dst,
                 latency_ms,
@@ -389,7 +330,7 @@ pub struct RowCursor<'a> {
 }
 
 impl RowCursor<'_> {
-    /// Position the cursor on `target` within a keyed lane/pair row of
+    /// Position the cursor on `target` within a keyed lane row of
     /// `len` entries whose `i`-th key is `key(i)`; returns the entry
     /// index on a hit.
     fn seek(&mut self, len: usize, key: impl Fn(usize) -> u16, target: u16) -> Option<usize> {
@@ -423,11 +364,6 @@ impl RowCursor<'_> {
     pub fn get(&mut self, dst: usize) -> LinkEntry {
         match self.row {
             RowRef::Dense(r) => r[dst],
-            RowRef::Sparse { width, entries } => {
-                assert!(dst < width, "dst {dst} out of range");
-                self.seek(entries.len(), |i| entries[i].0, dst as u16)
-                    .map_or_else(LinkEntry::dead, |i| entries[i].1)
-            }
             RowRef::Lanes {
                 width,
                 dst: dsts,
@@ -452,11 +388,6 @@ impl RowCursor<'_> {
     pub fn cost_u32(&mut self, dst: usize) -> u32 {
         match self.row {
             RowRef::Dense(r) => r[dst].cost_u32(),
-            RowRef::Sparse { width, entries } => {
-                assert!(dst < width, "dst {dst} out of range");
-                self.seek(entries.len(), |i| entries[i].0, dst as u16)
-                    .map_or(INFINITE_COST_U32, |i| entries[i].1.cost_u32())
-            }
             RowRef::Lanes {
                 width,
                 dst: dsts,
@@ -776,6 +707,40 @@ impl LaneRow {
         self.dst.is_empty()
     }
 
+    /// Does every stored destination lie below `width`?
+    #[must_use]
+    pub fn fits(&self, width: usize) -> bool {
+        self.dst.last().is_none_or(|&d| usize::from(d) < width)
+    }
+
+    /// The row relabeled into another index space: every destination,
+    /// in the live lanes and the retraction lane alike, moves to
+    /// `map(dst)`, and destinations `map` sends to `None` are dropped.
+    /// The seqno and the wire bytes of each kept entry are unchanged;
+    /// both lanes are re-sorted, so `map` need only be injective.
+    #[must_use]
+    pub fn relabel(&self, map: impl Fn(u16) -> Option<u16>) -> Self {
+        let mut live: Vec<(u16, u16, u8)> = (0..self.len())
+            .filter_map(|i| {
+                map(self.dst[i]).map(|d| (d, self.latency_ms[i], self.liveness_loss[i]))
+            })
+            .collect();
+        live.sort_unstable_by_key(|e| e.0);
+        let mut retracted: Vec<u16> = self.retracted.iter().filter_map(|&d| map(d)).collect();
+        retracted.sort_unstable();
+        debug_assert!(
+            live.windows(2).all(|w| w[0].0 < w[1].0),
+            "relabel map not injective"
+        );
+        LaneRow {
+            dst: live.iter().map(|e| e.0).collect(),
+            latency_ms: live.iter().map(|e| e.1).collect(),
+            liveness_loss: live.iter().map(|e| e.2).collect(),
+            seqno: self.seqno,
+            retracted: retracted.into(),
+        }
+    }
+
     /// Borrow as a [`RowRef::Lanes`] over a row of `width` destinations.
     #[must_use]
     pub fn as_row_ref(&self, width: usize) -> RowRef<'_> {
@@ -847,58 +812,21 @@ pub trait LinkStateStore {
         self.len() == 0
     }
 
-    /// Replace row `origin` with `entries`, stamped at `now` seconds.
+    /// Replace row `origin` with `row`, stamped at `now` seconds — the
+    /// one way a whole row enters a store, whether it came off the wire
+    /// (dense or sparse frame), from the node's own prober, or across a
+    /// view remap. The row carries the route discipline: the origin's
+    /// seqno and explicit retractions ([`LaneRow::with_version`]).
     ///
-    /// # Panics
-    /// Panics if `entries.len() != len()` or `origin ≥ len()`.
-    fn update_row(&mut self, origin: usize, entries: &[LinkEntry], now: f64);
-
-    /// Replace row `origin` with sparse `(dst, entry)` pairs (strictly
-    /// ascending by `dst` — the wire decoder guarantees this for
-    /// [`SparseLinkStateMsg`](crate::wire::SparseLinkStateMsg) rows);
-    /// destinations not listed become dead. Stamped at `now`.
-    ///
-    /// # Panics
-    /// Panics if `origin ≥ len()` or any `dst ≥ len()`; ordering is
-    /// debug-asserted.
-    fn update_row_sparse(&mut self, origin: usize, entries: &[(u16, LinkEntry)], now: f64);
-
-    /// Replace row `origin` like
-    /// [`update_row`](LinkStateStore::update_row), carrying the route
-    /// discipline: the origin's `seqno` and explicit `retractions`.
     /// Returns `false` (row unchanged) when the held row is versioned
     /// and strictly newer than the incoming one — the stale-replay
-    /// guard. A zero `seqno` on either side is unversioned and always
-    /// accepted. The default ignores versioning (dense baseline stores
-    /// keep their legacy behavior).
-    fn update_row_versioned(
-        &mut self,
-        origin: usize,
-        entries: &[LinkEntry],
-        seqno: u16,
-        retractions: &[u16],
-        now: f64,
-    ) -> bool {
-        let _ = (seqno, retractions);
-        self.update_row(origin, entries, now);
-        true
-    }
-
-    /// [`update_row_sparse`](LinkStateStore::update_row_sparse) with the
-    /// route discipline; same acceptance rule as
-    /// [`update_row_versioned`](LinkStateStore::update_row_versioned).
-    fn update_row_sparse_versioned(
-        &mut self,
-        origin: usize,
-        entries: &[(u16, LinkEntry)],
-        seqno: u16,
-        retractions: &[u16],
-        now: f64,
-    ) -> bool {
-        let _ = (seqno, retractions);
-        self.update_row_sparse(origin, entries, now);
-        true
-    }
+    /// guard. A zero seqno on either side is unversioned and always
+    /// accepted. Stores that do not track versions (the dense table)
+    /// always accept.
+    ///
+    /// # Panics
+    /// Panics if `origin ≥ len()` or any destination is `≥ len()`.
+    fn put_row(&mut self, origin: usize, row: LaneRow, now: f64) -> bool;
 
     /// The held seqno of row `origin` (0 = absent or unversioned).
     fn row_seqno(&self, _origin: usize) -> u16 {
@@ -910,10 +838,14 @@ pub trait LinkStateStore {
         false
     }
 
-    /// The full retraction lane of row `origin`, ascending (empty when
-    /// the row is absent or the store does not track versions).
-    fn row_retractions(&self, _origin: usize) -> Vec<u16> {
-        Vec::new()
+    /// Row `origin` as an owned [`LaneRow`] with its seqno and
+    /// retraction lane, when present — what a router exports across a
+    /// view change. The default rebuilds the lanes from
+    /// [`row_ref`](LinkStateStore::row_ref), unversioned.
+    fn lane_row(&self, origin: usize) -> Option<LaneRow> {
+        #[allow(clippy::cast_possible_truncation)]
+        self.row_ref(origin)
+            .map(|r| LaneRow::collect(r.iter_live().map(|(d, e)| (d as u16, e))))
     }
 
     /// Update a single entry of a row (used for the node's own row,
@@ -956,12 +888,6 @@ pub trait LinkStateStore {
     /// Is row `origin` present and no older than `max_age` at `now`?
     fn row_fresh(&self, origin: usize, now: f64, max_age: f64) -> bool {
         self.row_age(origin, now).is_some_and(|a| a <= max_age)
-    }
-
-    /// Row `origin` materialised full-width, when present (absent
-    /// entries dead). Export paths use this; the kernel never does.
-    fn row_dense(&self, origin: usize) -> Option<Vec<LinkEntry>> {
-        self.row_ref(origin).map(|r| r.to_dense())
     }
 
     /// The entry `origin → dst` (dead when the row is absent).
@@ -1327,6 +1253,9 @@ pub struct RowStore {
     stale_after: Option<f64>,
     /// High-water mark of `row_count` over the store's lifetime.
     peak_rows: usize,
+    /// Live entries across all held rows, kept current by every write
+    /// so the size gauges never re-sum the map.
+    entries_held: usize,
     telemetry: Telemetry,
     rows_merged: Counter,
     rows_evicted: Counter,
@@ -1351,6 +1280,7 @@ impl RowStore {
             entitlement: None,
             stale_after: None,
             peak_rows: 0,
+            entries_held: 0,
             telemetry,
             rows_merged,
             rows_evicted,
@@ -1378,14 +1308,15 @@ impl RowStore {
     /// Refresh the held-rows gauge and the stored-bytes gauge pair:
     /// actual lane bytes versus what the replaced array-of-structs
     /// `(u16, LinkEntry)` layout would hold for the same entries — the
-    /// memory win the scale study exports.
+    /// memory win the scale study exports. Reads the running entry
+    /// total, so a row merge costs `O(1)` here, not a walk of every
+    /// held row.
     fn update_size_gauges(&self) {
         self.rows_held.set(self.rows.len() as u64);
-        let entries: usize = self.rows.values().map(|r| r.lanes.len()).sum();
         self.row_bytes_lanes
-            .set((entries * LaneRow::ENTRY_BYTES) as u64);
+            .set((self.entries_held * LaneRow::ENTRY_BYTES) as u64);
         self.row_bytes_aos
-            .set((entries * std::mem::size_of::<(u16, LinkEntry)>()) as u64);
+            .set((self.entries_held * std::mem::size_of::<(u16, LinkEntry)>()) as u64);
     }
 
     /// Count one merged row (counter + journal + size gauges).
@@ -1441,7 +1372,9 @@ impl RowStore {
                     .map(|(&origin, _)| origin)
                     .collect();
                 for origin in stale {
-                    self.rows.remove(&origin);
+                    if let Some(gone) = self.rows.remove(&origin) {
+                        self.entries_held -= gone.lanes.len();
+                    }
                     self.rows_evicted.inc();
                     self.telemetry.event(
                         now,
@@ -1481,10 +1414,12 @@ impl RowStore {
         held != 0 && seqno_newer(incoming, held)
     }
 
-    /// Insert or replace a row already reduced to its live-entry lanes.
-    fn put_row(&mut self, origin: usize, lanes: LaneRow, now: f64) {
+    /// Insert or replace a row, keeping the running entry total.
+    fn store_row(&mut self, origin: usize, lanes: LaneRow, now: f64) {
+        self.entries_held += lanes.len();
         match self.rows.get_mut(&origin) {
             Some(slot) => {
+                self.entries_held -= slot.lanes.len();
                 slot.lanes = lanes;
                 slot.received_at = now;
             }
@@ -1509,57 +1444,13 @@ impl LinkStateStore for RowStore {
         self.n
     }
 
-    fn update_row(&mut self, origin: usize, entries: &[LinkEntry], now: f64) {
+    fn put_row(&mut self, origin: usize, row: LaneRow, now: f64) -> bool {
         assert!(origin < self.n, "row {origin} out of range");
-        assert_eq!(entries.len(), self.n, "row must have n entries");
-        self.put_row(origin, LaneRow::from_dense(entries), now);
-    }
-
-    fn update_row_sparse(&mut self, origin: usize, entries: &[(u16, LinkEntry)], now: f64) {
-        assert!(origin < self.n, "row {origin} out of range");
-        assert!(
-            entries.last().is_none_or(|&(d, _)| (d as usize) < self.n),
-            "sparse row destination out of range"
-        );
-        self.put_row(origin, LaneRow::from_pairs(entries), now);
-    }
-
-    fn update_row_versioned(
-        &mut self,
-        origin: usize,
-        entries: &[LinkEntry],
-        seqno: u16,
-        retractions: &[u16],
-        now: f64,
-    ) -> bool {
-        assert!(origin < self.n, "row {origin} out of range");
-        assert_eq!(entries.len(), self.n, "row must have n entries");
-        if self.replay_rejected(origin, seqno) {
+        assert!(row.fits(self.n), "row destination out of range");
+        if self.replay_rejected(origin, row.seqno()) {
             return false;
         }
-        let lanes = LaneRow::from_dense(entries).with_version(seqno, retractions);
-        self.put_row(origin, lanes, now);
-        true
-    }
-
-    fn update_row_sparse_versioned(
-        &mut self,
-        origin: usize,
-        entries: &[(u16, LinkEntry)],
-        seqno: u16,
-        retractions: &[u16],
-        now: f64,
-    ) -> bool {
-        assert!(origin < self.n, "row {origin} out of range");
-        assert!(
-            entries.last().is_none_or(|&(d, _)| (d as usize) < self.n),
-            "sparse row destination out of range"
-        );
-        if self.replay_rejected(origin, seqno) {
-            return false;
-        }
-        let lanes = LaneRow::from_pairs(entries).with_version(seqno, retractions);
-        self.put_row(origin, lanes, now);
+        self.store_row(origin, row, now);
         true
     }
 
@@ -1573,16 +1464,16 @@ impl LinkStateStore for RowStore {
             .is_some_and(|s| s.lanes.retracted().binary_search(&(dst as u16)).is_ok())
     }
 
-    fn row_retractions(&self, origin: usize) -> Vec<u16> {
-        self.rows
-            .get(&origin)
-            .map_or_else(Vec::new, |s| s.lanes.retracted().to_vec())
+    fn lane_row(&self, origin: usize) -> Option<LaneRow> {
+        self.rows.get(&origin).map(|s| s.lanes.clone())
     }
 
     fn update_entry(&mut self, origin: usize, dst: usize, entry: LinkEntry, now: f64) {
         assert!(origin < self.n && dst < self.n);
         if let Some(slot) = self.rows.get_mut(&origin) {
+            let before = slot.lanes.len();
             slot.lanes.set(dst as u16, entry);
+            self.entries_held = self.entries_held + slot.lanes.len() - before;
             slot.received_at = now;
             self.note_merge(origin, now);
         } else {
@@ -1591,12 +1482,14 @@ impl LinkStateStore for RowStore {
             } else {
                 LaneRow::default()
             };
-            self.put_row(origin, lanes, now);
+            self.store_row(origin, lanes, now);
         }
     }
 
     fn clear_row(&mut self, origin: usize) {
-        self.rows.remove(&origin);
+        if let Some(gone) = self.rows.remove(&origin) {
+            self.entries_held -= gone.lanes.len();
+        }
         self.update_size_gauges();
     }
 
@@ -1617,7 +1510,7 @@ impl LinkStateStore for RowStore {
     }
 
     fn entry_count(&self) -> usize {
-        self.rows.values().map(|r| r.lanes.len()).sum()
+        self.entries_held
     }
 }
 
@@ -1628,6 +1521,11 @@ mod tests {
 
     fn live_row(costs: &[u16]) -> Vec<LinkEntry> {
         costs.iter().map(|&c| LinkEntry::live(c, 0.0)).collect()
+    }
+
+    /// A dense row as the unversioned lane row `put_row` takes.
+    fn lanes(row: &[LinkEntry]) -> LaneRow {
+        LaneRow::from_dense(row)
     }
 
     /// The 4-node detour world used by the table tests, loaded into both
@@ -1645,8 +1543,8 @@ mod tests {
         let mut dense = LinkStateTable::new(4);
         let mut sparse = RowStore::new(4);
         for (i, row) in detour_rows().iter().enumerate() {
-            dense.update_row(i, row, 10.0);
-            sparse.update_row(i, row, 10.0);
+            dense.put_row(i, lanes(row), 10.0);
+            sparse.put_row(i, lanes(row), 10.0);
         }
         (dense, sparse)
     }
@@ -1682,8 +1580,8 @@ mod tests {
         let mut s = RowStore::new(100);
         assert_eq!(s.row_count(), 0);
         assert_eq!(s.entry_count(), 0);
-        s.update_row(7, &vec![LinkEntry::dead(); 100], 1.0);
-        s.update_row(42, &vec![LinkEntry::dead(); 100], 2.0);
+        s.put_row(7, LaneRow::default(), 1.0);
+        s.put_row(42, LaneRow::default(), 2.0);
         assert_eq!(s.row_count(), 2);
         // All-dead rows are present (they have a receipt time) but
         // materialise zero entries — absent reads as dead.
@@ -1696,7 +1594,7 @@ mod tests {
         assert!(s.cost(8, 9).is_infinite());
         assert_eq!(s.cost(8, 8), 0.0);
         // Refreshing a row does not grow the store.
-        s.update_row(7, &vec![LinkEntry::dead(); 100], 3.0);
+        s.put_row(7, LaneRow::default(), 3.0);
         assert_eq!(s.row_count(), 2);
         assert_eq!(s.row_time(7), Some(3.0));
         // Clearing removes the allocation entirely.
@@ -1711,22 +1609,22 @@ mod tests {
         let mut row = vec![LinkEntry::dead(); 100];
         row[3] = LinkEntry::live(10, 0.0);
         row[64] = LinkEntry::live(20, 0.01);
-        s.update_row(7, &row, 1.0);
+        s.put_row(7, lanes(&row), 1.0);
         assert_eq!(s.entry_count(), 2, "dense input reduced to live entries");
         assert_eq!(s.entry(7, 64).latency_ms, 20);
         assert!(!s.entry(7, 4).alive);
-        assert_eq!(s.row_dense(7).unwrap(), row);
-        // The sparse ingest path stores the same thing.
+        assert_eq!(s.row_ref(7).unwrap().to_dense(), row);
+        // A row built from sparse pairs stores the same thing.
         let mut t = RowStore::new(100);
-        t.update_row_sparse(
+        t.put_row(
             7,
-            &[
+            LaneRow::from_pairs(&[
                 (3, LinkEntry::live(10, 0.0)),
                 (64, LinkEntry::live(20, 0.01)),
-            ],
+            ]),
             1.0,
         );
-        assert_eq!(t.row_dense(7).unwrap(), row);
+        assert_eq!(t.row_ref(7).unwrap().to_dense(), row);
         assert_eq!(t.entry_count(), 2);
     }
 
@@ -1783,8 +1681,8 @@ mod tests {
             ),
         ];
         for (origin, entries) in &rows {
-            dense.update_row_sparse(*origin, entries, 1.0);
-            sparse.update_row_sparse(*origin, entries, 1.0);
+            dense.put_row(*origin, LaneRow::from_pairs(entries), 1.0);
+            sparse.put_row(*origin, LaneRow::from_pairs(entries), 1.0);
         }
         let d = dense.best_one_hop(0, 9, 2.0, 45.0);
         assert_eq!(d, sparse.best_one_hop(0, 9, 2.0, 45.0));
@@ -1804,7 +1702,7 @@ mod tests {
         let opts = s.one_hop_options(0, 3, 11.0, 45.0);
         assert_eq!(opts, vec![(2, 290.0)]);
         // A stale relay row disqualifies too.
-        s.update_row(2, &detour_rows()[2], -100.0);
+        s.put_row(2, lanes(&detour_rows()[2]), -100.0);
         assert!(s.one_hop_options(0, 3, 11.0, 45.0).is_empty());
     }
 
@@ -1813,7 +1711,7 @@ mod tests {
         let mut s = RowStore::with_entitlement(10, 4, 45.0);
         assert_eq!(s.entitlement(), Some(4));
         for i in 0..4 {
-            s.update_row(i, &[LinkEntry::dead(); 10], 0.0);
+            s.put_row(i, LaneRow::default(), 0.0);
         }
         assert_eq!(s.peak_rows(), 4);
     }
@@ -1821,15 +1719,15 @@ mod tests {
     #[test]
     fn capacity_pressure_evicts_stale_rows_first() {
         let mut s = RowStore::with_entitlement(10, 2, 45.0);
-        s.update_row(0, &[LinkEntry::dead(); 10], 0.0);
-        s.update_row(1, &[LinkEntry::dead(); 10], 50.0);
+        s.put_row(0, LaneRow::default(), 0.0);
+        s.put_row(1, LaneRow::default(), 50.0);
         // At t=100, row 0 (age 100) and row 1 (age 50) are both stale:
         // a new arrival at the boundary sheds them instead of tripping
         // the entitlement assertion.
-        s.update_row(2, &[LinkEntry::dead(); 10], 100.0);
+        s.put_row(2, LaneRow::default(), 100.0);
         assert_eq!(s.present_rows(), vec![2]);
         // A fresh row is never evicted by pressure.
-        s.update_row(3, &[LinkEntry::dead(); 10], 101.0);
+        s.put_row(3, LaneRow::default(), 101.0);
         assert_eq!(s.present_rows(), vec![2, 3]);
     }
 
@@ -1840,7 +1738,7 @@ mod tests {
         // All rows fresh: eviction frees nothing, the guard must fire.
         let mut s = RowStore::with_entitlement(10, 2, 45.0);
         for i in 0..3 {
-            s.update_row(i, &[LinkEntry::dead(); 10], 1.0);
+            s.put_row(i, LaneRow::default(), 1.0);
         }
     }
 
@@ -1848,11 +1746,11 @@ mod tests {
     fn telemetry_counts_merges_and_evictions() {
         let telemetry = Telemetry::new(7);
         let mut s = RowStore::with_entitlement(10, 2, 45.0).with_telemetry(telemetry.clone());
-        s.update_row(0, &[LinkEntry::dead(); 10], 0.0);
-        s.update_row(1, &[LinkEntry::dead(); 10], 50.0);
+        s.put_row(0, LaneRow::default(), 0.0);
+        s.put_row(1, LaneRow::default(), 50.0);
         // Both prior rows are stale at t=100: the boundary insert
         // sheds them, and every arrival counted as a merge.
-        s.update_row(2, &[LinkEntry::dead(); 10], 100.0);
+        s.put_row(2, LaneRow::default(), 100.0);
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter(7, "linkstate", "rows_merged"), Some(3));
         assert_eq!(snap.counter(7, "linkstate", "rows_evicted"), Some(2));
@@ -1863,9 +1761,98 @@ mod tests {
             .any(|e| matches!(e.kind, EventKind::RowEvicted { origin: 0 })));
     }
 
+    /// The size gauges and `entry_count` read a running entry total;
+    /// after every step of a seeded mix of whole-row writes, entry
+    /// writes, clears and pressure evictions they must equal a sum
+    /// taken from scratch over the held rows.
+    #[test]
+    fn size_gauges_match_a_fresh_sum() {
+        let n = 16;
+        let telemetry = Telemetry::new(3);
+        let mut s = RowStore::with_entitlement(n, 6, 45.0).with_telemetry(telemetry.clone());
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for step in 0..400 {
+            // 20 s per step: at most three rows are ever fresh, so the
+            // entitlement boundary always finds stale rows to evict.
+            let now = 20.0 * f64::from(step);
+            let origin = next(n);
+            match next(4) {
+                0 | 1 => {
+                    let row: Vec<LinkEntry> = (0..n)
+                        .map(|_| {
+                            if next(3) == 0 {
+                                LinkEntry::live(next(500) as u16, 0.0)
+                            } else {
+                                LinkEntry::dead()
+                            }
+                        })
+                        .collect();
+                    s.put_row(origin, lanes(&row), now);
+                }
+                2 => {
+                    let entry = if next(2) == 0 {
+                        LinkEntry::live(next(500) as u16, 0.0)
+                    } else {
+                        LinkEntry::dead()
+                    };
+                    s.update_entry(origin, next(n), entry, now);
+                }
+                _ => s.clear_row(origin),
+            }
+            let held: usize = s
+                .present_rows()
+                .into_iter()
+                .map(|o| s.row_ref(o).unwrap().iter_live().count())
+                .sum();
+            let snap = telemetry.snapshot();
+            assert_eq!(s.entry_count(), held, "step {step}");
+            assert_eq!(
+                snap.gauge(3, "linkstate", "row_bytes_lanes"),
+                Some((held * LaneRow::ENTRY_BYTES) as u64),
+                "step {step}"
+            );
+            assert_eq!(
+                snap.gauge(3, "linkstate", "row_bytes_aos"),
+                Some((held * std::mem::size_of::<(u16, LinkEntry)>()) as u64),
+                "step {step}"
+            );
+            assert_eq!(
+                snap.gauge(3, "linkstate", "rows_held"),
+                Some(s.row_count() as u64)
+            );
+        }
+        let evicted = telemetry.snapshot().counter(3, "linkstate", "rows_evicted");
+        assert!(evicted.unwrap_or(0) > 0, "the mix must exercise eviction");
+    }
+
+    /// Relabeling moves live entries and retractions by the map, drops
+    /// unmapped destinations, re-sorts, and keeps seqno and wire bytes.
+    #[test]
+    fn relabel_moves_both_lanes() {
+        let row = LaneRow::from_pairs(&[
+            (0, LinkEntry::live(5, 0.0)),
+            (2, LinkEntry::live(7, 0.02)),
+            (3, LinkEntry::live(9, 0.0)),
+        ])
+        .with_version(41, &[1, 3]);
+        // 0 → 2, 1 → 0, 2 leaves, 3 → 1: order is not preserved.
+        let moved = row.relabel(|d| [Some(2), Some(0), None, Some(1)][usize::from(d)]);
+        assert_eq!(
+            moved,
+            LaneRow::from_pairs(&[(1, LinkEntry::live(9, 0.0)), (2, LinkEntry::live(5, 0.0))])
+                .with_version(41, &[0, 1])
+        );
+    }
+
     /// The cursor agrees with fresh `get`/`cost_u32` lookups under any
     /// probe order — ascending (the fast path), backwards (the binary
-    /// search fallback), repeats, and misses — on every row variant.
+    /// search fallback), repeats, and misses — on both row variants.
     #[test]
     fn cursor_matches_fresh_lookups_in_any_order() {
         let n = 12;
@@ -1873,21 +1860,8 @@ mod tests {
         for d in [1usize, 4, 5, 9, 11] {
             row[d] = LinkEntry::live(10 * d as u16, 0.01);
         }
-        let pairs: Vec<(u16, LinkEntry)> = row
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.alive)
-            .map(|(d, e)| (d as u16, *e))
-            .collect();
         let lanes = LaneRow::from_dense(&row);
-        let views = [
-            RowRef::Dense(&row),
-            RowRef::Sparse {
-                width: n,
-                entries: &pairs,
-            },
-            lanes.as_row_ref(n),
-        ];
+        let views = [RowRef::Dense(&row), lanes.as_row_ref(n)];
         let probes = [0usize, 1, 4, 4, 9, 11, 2, 5, 10, 0, 11, 3];
         for view in views {
             let mut cur = view.cursor();
@@ -1938,22 +1912,29 @@ mod tests {
     fn versioned_updates_reject_stale_replays() {
         let n = 4;
         let mut s = RowStore::new(n);
-        assert!(s.update_row_versioned(0, &live_row(&[0, 10, 20, 30]), 5, &[], 1.0));
+        let versioned = |costs: &[u16], seqno| lanes(&live_row(costs)).with_version(seqno, &[]);
+        assert!(s.put_row(0, versioned(&[0, 10, 20, 30], 5), 1.0));
         assert_eq!(s.row_seqno(0), 5);
         // Same seqno refreshes (periodic re-announcement), newer advances.
-        assert!(s.update_row_versioned(0, &live_row(&[0, 11, 20, 30]), 5, &[], 2.0));
+        assert!(s.put_row(0, versioned(&[0, 11, 20, 30], 5), 2.0));
         assert_eq!(s.row_time(0), Some(2.0));
-        assert!(s.update_row_sparse_versioned(0, &[(1, LinkEntry::live(9, 0.0))], 6, &[2], 3.0));
+        let retracting = LaneRow::from_pairs(&[(1, LinkEntry::live(9, 0.0))]).with_version(6, &[2]);
+        assert!(s.put_row(0, retracting.clone(), 3.0));
+        assert_eq!(
+            s.lane_row(0),
+            Some(retracting),
+            "export keeps seqno and lane"
+        );
         assert_eq!(s.row_seqno(0), 6);
         assert!(s.row_retracts(0, 2));
         assert!(!s.row_retracts(0, 1));
         // A delayed replay of the older row must not resurrect dst 2.
-        assert!(!s.update_row_versioned(0, &live_row(&[0, 10, 20, 30]), 5, &[], 4.0));
+        assert!(!s.put_row(0, versioned(&[0, 10, 20, 30], 5), 4.0));
         assert_eq!(s.row_seqno(0), 6);
         assert_eq!(s.row_time(0), Some(3.0), "rejected replay leaves the row");
         assert!(!s.entry(0, 2).alive);
         // Unversioned rows (seqno 0) always pass — no flag day.
-        assert!(s.update_row_versioned(0, &live_row(&[0, 10, 20, 30]), 0, &[], 5.0));
+        assert!(s.put_row(0, versioned(&[0, 10, 20, 30], 0), 5.0));
         assert_eq!(s.row_seqno(0), 0);
         assert!(!s.row_retracts(0, 2));
     }
@@ -1984,7 +1965,7 @@ mod tests {
                     }
                 })
                 .collect();
-            s.update_row(origin, &entries, 10.0);
+            s.put_row(origin, lanes(&entries), 10.0);
         }
         // k = 1 parity with the scavenging kernel.
         for (a, b) in [(0, 2), (0, 4), (1, 3), (2, 0)] {
@@ -2028,13 +2009,13 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "out of range")]
-    fn update_row_bounds_checked() {
-        RowStore::new(2).update_row(2, &live_row(&[0, 1]), 0.0);
+    fn put_row_bounds_checked() {
+        RowStore::new(2).put_row(2, lanes(&live_row(&[0, 1])), 0.0);
     }
 
     #[test]
-    #[should_panic(expected = "n entries")]
-    fn update_row_length_checked() {
-        RowStore::new(3).update_row(0, &live_row(&[0, 1]), 0.0);
+    #[should_panic(expected = "destination out of range")]
+    fn put_row_destination_checked() {
+        RowStore::new(2).put_row(0, lanes(&live_row(&[0, 1, 2])), 0.0);
     }
 }

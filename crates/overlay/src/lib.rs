@@ -12,18 +12,14 @@
 //!
 //! The node itself ([`node::OverlayNode`]) is a sans-io state machine:
 //! `on_start` / `on_packet` / `on_timer` in, `(send, set_timer)` commands
-//! out. Two drivers run it unchanged:
-//!
-//! * [`simnode::SimNode`] adapts it to the deterministic
-//!   [`netsim`](apor_netsim) simulator (the paper's emulation);
-//! * `udp` (behind the `udp` feature; needs the non-vendored tokio)
-//!   runs it on real UDP sockets (the paper's deployment), with a clean
-//!   shutdown path per the structured-concurrency guidance.
+//! out. [`simnode::SimNode`] adapts it to the deterministic
+//! [`apor_netsim`] simulator (the paper's emulation); a socket driver for
+//! deployment would run the same state machine unchanged.
 //!
 //! Membership comes in two modes ([`config::MembershipMode`]): the
 //! paper's centralized coordinator ([`membership`]) and the
 //! decentralized SWIM gossip plane from
-//! [`apor_membership`](apor_membership), which removes the coordinator
+//! [`apor_membership`], which removes the coordinator
 //! single point of failure while preserving the identical-views ⇒
 //! identical-grids invariant.
 //!
@@ -50,14 +46,6 @@ pub mod membership;
 pub mod node;
 pub mod remap;
 pub mod simnode;
-#[cfg(feature = "udp")]
-compile_error!(
-    "the `udp` feature needs the non-vendored `tokio` (features [\"full\"]) and \
-     `parking_lot` crates: add them to crates/overlay/Cargo.toml on a machine with \
-     crates.io access (see vendor/README.md), then delete this guard"
-);
-#[cfg(feature = "udp")]
-pub mod udp;
 
 pub use config::{Algorithm, MembershipMode, NodeConfig};
 pub use membership::{Coordinator, MembershipView};

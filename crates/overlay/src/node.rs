@@ -3,10 +3,11 @@
 //!
 //! The node reacts to exactly three stimuli — `on_start`, `on_packet`,
 //! `on_timer` — and responds by filling an [`Outbox`] with packets to send
-//! and timers to arm. It never touches sockets or clocks, so the netsim
-//! driver ([`SimNode`](crate::simnode::SimNode)) and the tokio UDP driver
-//! ([`udp`](crate::udp)) run the identical protocol logic; this is how the
-//! paper can claim its emulation and deployment share one implementation.
+//! and timers to arm. It never touches sockets or clocks, so any driver
+//! that delivers packets and timers — today the netsim driver
+//! ([`SimNode`](crate::simnode::SimNode)) — runs the identical protocol
+//! logic; this is how the paper can claim its emulation and deployment
+//! share one implementation.
 //!
 //! ## Index vs identity
 //!
@@ -763,8 +764,8 @@ impl OverlayNode {
                         |idx: usize| old_view.id_of(idx).is_some_and(|id| view.contains(id));
                     q.retract_departed_routes(&survives);
                 }
-                let exported = old_router.as_dyn().export_rows_versioned();
-                let carried = crate::remap::remap_rows_versioned(
+                let exported = old_router.as_dyn().export_rows();
+                let carried = crate::remap::remap_rows(
                     &exported,
                     old_view,
                     &view,
@@ -773,7 +774,7 @@ impl OverlayNode {
                 );
                 let carried_rows = carried.len();
                 for row in &carried {
-                    router.as_dyn_mut().import_row_versioned(row);
+                    router.as_dyn_mut().import_row(row);
                 }
                 if let Some(ctx) = episode_ctx {
                     #[allow(clippy::cast_possible_truncation)]

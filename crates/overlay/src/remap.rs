@@ -11,131 +11,78 @@
 //!
 //! [`remap_rows`] instead translates each surviving row **by
 //! [`NodeId`]**: the row of origin identity `o` moves to `o`'s index in
-//! the new view; within the row, the entry for destination identity `d`
-//! moves to `d`'s new index. Entries for departed members are dropped;
-//! entries for joined members start dead (they have never been
-//! measured). Rows whose origin departed, and rows older than the
-//! staleness window (the paper's 3-routing-interval rule, section
-//! 6.2.2 — stale rows would be ignored by the kernel anyway), are not
-//! carried. Receipt times are preserved, *not* refreshed: a remap is a
-//! relabeling, not new information.
+//! the new view; within the row, the destination lane is translated
+//! entry by entry, so the entry for destination identity `d` moves to
+//! `d`'s new index with its wire bytes unchanged. Entries (and
+//! retractions) for departed members are dropped; joined members have
+//! no entry, which reads as dead (they have never been measured). The
+//! origin's seqno survives verbatim, so a carried row keeps shadowing
+//! delayed replays of older frames. Rows whose origin departed, and
+//! rows older than the staleness window (the paper's
+//! 3-routing-interval rule, section 6.2.2 — stale rows would be
+//! ignored by the kernel anyway), are not carried. Receipt times are
+//! preserved, *not* refreshed: a remap is a relabeling, not new
+//! information. The work is proportional to the live entries a row
+//! holds, not to the view size.
 //!
 //! The router's [`import_row`](apor_routing::RoutingAlgorithm::import_row)
 //! applies its own entitlement filter on top — a quorum router keeps
 //! only rows owned by itself or its rendezvous clients *in the new
 //! grid*, so the remap cannot re-grow `O(n)` rows.
+//!
+//! [`NodeId`]: apor_quorum::NodeId
 
 use crate::membership::MembershipView;
-use apor_linkstate::LinkEntry;
 use apor_routing::VersionedRow;
-
-/// One surviving row, translated into the new view's index space:
-/// `(new origin index, original receipt time, full-width entries)`.
-pub type RemappedRow = (usize, f64, Vec<LinkEntry>);
 
 /// Translate exported rows from `old_view`'s index space into
 /// `new_view`'s, dropping rows that are stale at `now` (older than
 /// `max_age`) or whose origin left the overlay.
 #[must_use]
 pub fn remap_rows(
-    exported: &[(usize, f64, Vec<LinkEntry>)],
-    old_view: &MembershipView,
-    new_view: &MembershipView,
-    now: f64,
-    max_age: f64,
-) -> Vec<RemappedRow> {
-    let rows: Vec<VersionedRow> = exported
-        .iter()
-        .map(|(origin, received_at, entries)| VersionedRow {
-            origin: *origin,
-            received_at: *received_at,
-            seqno: 0,
-            retractions: Vec::new(),
-            entries: entries.clone(),
-        })
-        .collect();
-    remap_rows_versioned(&rows, old_view, new_view, now, max_age)
-        .into_iter()
-        .map(|r| (r.origin, r.received_at, r.entries))
-        .collect()
-}
-
-/// [`remap_rows`] carrying the route discipline: each row's origin
-/// seqno survives the relabeling verbatim (a carried row must keep
-/// shadowing delayed replays of older frames), and the retraction lane
-/// is translated destination by destination — a retraction aimed at a
-/// departed member leaves with it, everything else moves to the
-/// destination's new index and is re-sorted.
-#[must_use]
-pub fn remap_rows_versioned(
     exported: &[VersionedRow],
     old_view: &MembershipView,
     new_view: &MembershipView,
     now: f64,
     max_age: f64,
 ) -> Vec<VersionedRow> {
-    let n_new = new_view.len();
-    // Precompute the index translations once (O(n) lookups instead of a
-    // binary search per entry).
-    let new_to_old: Vec<Option<usize>> = new_view
+    // Precompute the destination translation once (O(n) lookups instead
+    // of a binary search per entry).
+    #[allow(clippy::cast_possible_truncation)]
+    let old_to_new: Vec<Option<u16>> = old_view
         .members
         .iter()
-        .map(|&id| old_view.index_of(id))
+        .map(|&id| new_view.index_of(id).map(|i| i as u16))
         .collect();
-    let old_to_new: Vec<Option<usize>> = old_view
-        .members
+    exported
         .iter()
-        .map(|&id| new_view.index_of(id))
-        .collect();
-    let mut out = Vec::new();
-    for row in exported {
-        if now - row.received_at > max_age {
-            continue; // 3-interval freshness rule: stale rows are dropped
-        }
-        let Some(origin_id) = old_view.id_of(row.origin) else {
-            continue;
-        };
-        let Some(new_origin) = new_view.index_of(origin_id) else {
-            continue; // origin departed
-        };
-        if row.entries.len() != old_view.len() {
-            continue; // malformed export; never expected
-        }
-        let entries: Vec<LinkEntry> = (0..n_new)
-            .map(|new_dst| {
-                new_to_old[new_dst].map_or_else(LinkEntry::dead, |old_dst| row.entries[old_dst])
+        .filter(|row| now - row.received_at <= max_age)
+        .filter_map(|row| {
+            let origin_id = old_view.id_of(row.origin)?;
+            Some(VersionedRow {
+                origin: new_view.index_of(origin_id)?,
+                received_at: row.received_at,
+                row: row
+                    .row
+                    .relabel(|d| old_to_new.get(usize::from(d)).copied().flatten()),
             })
-            .collect();
-        #[allow(clippy::cast_possible_truncation)]
-        let mut retractions: Vec<u16> = row
-            .retractions
-            .iter()
-            .filter_map(|&d| old_to_new.get(usize::from(d)).copied().flatten())
-            .map(|new_dst| new_dst as u16)
-            .collect();
-        retractions.sort_unstable();
-        out.push(VersionedRow {
-            origin: new_origin,
-            received_at: row.received_at,
-            seqno: row.seqno,
-            retractions,
-            entries,
-        });
-    }
-    out
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apor_linkstate::{LaneRow, LinkEntry};
     use apor_quorum::NodeId;
 
     fn view(version: u32, ids: &[u16]) -> MembershipView {
         MembershipView::new(version, ids.iter().map(|&i| NodeId(i)).collect())
     }
 
-    fn row(costs: &[u16]) -> Vec<LinkEntry> {
-        costs
+    /// An unversioned exported row; `u16::MAX` marks a dead entry.
+    fn row(origin: usize, received_at: f64, costs: &[u16]) -> VersionedRow {
+        let entries: Vec<LinkEntry> = costs
             .iter()
             .map(|&c| {
                 if c == u16::MAX {
@@ -144,7 +91,16 @@ mod tests {
                     LinkEntry::live(c, 0.0)
                 }
             })
-            .collect()
+            .collect();
+        VersionedRow {
+            origin,
+            received_at,
+            row: LaneRow::from_dense(&entries),
+        }
+    }
+
+    fn dense(r: &VersionedRow, width: usize) -> Vec<LinkEntry> {
+        r.row.as_row_ref(width).to_dense()
     }
 
     #[test]
@@ -154,12 +110,12 @@ mod tests {
         // node 1 stays at 0, the new index 1 is node 3 (unmeasured).
         let old = view(1, &[1, 5, 9]);
         let new = view(2, &[1, 3, 9]);
-        let exported = vec![(0usize, 10.0, row(&[0, 50, 70]))];
-        let remapped = remap_rows(&exported, &old, &new, 12.0, 45.0);
+        let remapped = remap_rows(&[row(0, 10.0, &[0, 50, 70])], &old, &new, 12.0, 45.0);
         assert_eq!(remapped.len(), 1);
-        let (origin, t, entries) = &remapped[0];
-        assert_eq!(*origin, 0, "node 1 keeps index 0");
-        assert_eq!(*t, 10.0, "receipt time preserved, not refreshed");
+        let r = &remapped[0];
+        assert_eq!(r.origin, 0, "node 1 keeps index 0");
+        assert_eq!(r.received_at, 10.0, "receipt time preserved, not refreshed");
+        let entries = dense(r, new.len());
         assert_eq!(entries[0].latency_ms, 0, "1→1 self entry");
         assert!(!entries[1].alive, "joiner 3 starts dead");
         assert_eq!(entries[2].latency_ms, 70, "1→9 carried by identity");
@@ -170,50 +126,42 @@ mod tests {
         let old = view(1, &[1, 5, 9]);
         let new = view(2, &[1, 9]);
         // Node 5's row (old index 1) has no home in the new view.
-        let exported = vec![
-            (1usize, 10.0, row(&[40, 0, 60])),
-            (2usize, 10.0, row(&[70, 60, 0])),
-        ];
+        let exported = vec![row(1, 10.0, &[40, 0, 60]), row(2, 10.0, &[70, 60, 0])];
         let remapped = remap_rows(&exported, &old, &new, 11.0, 45.0);
         assert_eq!(remapped.len(), 1);
-        assert_eq!(remapped[0].0, 1, "node 9 is index 1 in the new view");
-        assert_eq!(remapped[0].2.len(), 2);
-        assert_eq!(remapped[0].2[0].latency_ms, 70, "9→1 survives");
+        assert_eq!(remapped[0].origin, 1, "node 9 is index 1 in the new view");
+        assert!(remapped[0].row.fits(2));
+        assert_eq!(dense(&remapped[0], 2)[0].latency_ms, 70, "9→1 survives");
     }
 
     #[test]
     fn stale_rows_dropped_per_freshness_rule() {
         let old = view(1, &[1, 9]);
         let new = view(2, &[1, 9]);
-        let exported = vec![(0usize, 10.0, row(&[0, 50])), (1usize, 60.0, row(&[50, 0]))];
+        let exported = vec![row(0, 10.0, &[0, 50]), row(1, 60.0, &[50, 0])];
         // At now = 70 with max_age = 45: row stamped 10 is stale, row
         // stamped 60 survives.
         let remapped = remap_rows(&exported, &old, &new, 70.0, 45.0);
         assert_eq!(remapped.len(), 1);
-        assert_eq!(remapped[0].0, 1);
+        assert_eq!(remapped[0].origin, 1);
     }
 
     #[test]
-    fn versioned_remap_translates_the_retraction_lane() {
+    fn remap_translates_the_retraction_lane() {
         // Old view {1, 5, 9}: node 1's row retracts 5 (index 1) and 9
         // (index 2) at seqno 7. Node 5 leaves, node 3 joins.
         let old = view(1, &[1, 5, 9]);
         let new = view(2, &[1, 3, 9]);
-        let exported = vec![VersionedRow {
-            origin: 0,
-            received_at: 10.0,
-            seqno: 7,
-            retractions: vec![1, 2],
-            entries: row(&[0, 50, 70]),
-        }];
-        let remapped = remap_rows_versioned(&exported, &old, &new, 12.0, 45.0);
+        let mut exported = row(0, 10.0, &[0, 50, 70]);
+        exported.row = exported.row.with_version(7, &[1, 2]);
+        let remapped = remap_rows(&[exported], &old, &new, 12.0, 45.0);
         assert_eq!(remapped.len(), 1);
         let r = &remapped[0];
         assert_eq!(r.origin, 0, "node 1 keeps index 0");
-        assert_eq!(r.seqno, 7, "seqno survives verbatim");
+        assert_eq!(r.row.seqno(), 7, "seqno survives verbatim");
         assert_eq!(
-            r.retractions,
-            vec![2],
+            r.row.retracted(),
+            &[2],
             "retraction against departed 5 dropped; 9 stays at index 2"
         );
         assert_eq!(r.received_at, 10.0);

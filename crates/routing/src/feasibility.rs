@@ -295,7 +295,7 @@ pub fn select_detour<S: LinkStateStore + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apor_linkstate::{LinkEntry, RowStore};
+    use apor_linkstate::{LaneRow, LinkEntry, RowStore};
 
     #[test]
     fn feasibility_is_strict_at_one_seqno() {
@@ -357,24 +357,18 @@ mod tests {
         // 0 → 1 → 2 with row 1 advertising 2 at cost 10.
         let n = 3;
         let mut s = RowStore::new(n);
-        s.update_row(
-            0,
-            &[
-                LinkEntry::live(0, 0.0),
-                LinkEntry::live(10, 0.0),
-                LinkEntry::dead(),
-            ],
-            1.0,
-        );
-        s.update_row(
-            1,
-            &[
-                LinkEntry::live(10, 0.0),
-                LinkEntry::live(0, 0.0),
-                LinkEntry::live(10, 0.0),
-            ],
-            1.0,
-        );
+        let row0 = [
+            LinkEntry::live(0, 0.0),
+            LinkEntry::live(10, 0.0),
+            LinkEntry::dead(),
+        ];
+        let row1 = [
+            LinkEntry::live(10, 0.0),
+            LinkEntry::live(0, 0.0),
+            LinkEntry::live(10, 0.0),
+        ];
+        s.put_row(0, LaneRow::from_dense(&row0), 1.0);
+        s.put_row(1, LaneRow::from_dense(&row1), 1.0);
         let mut f = FeasibilityTable::new();
         let d = select_detour(&s, &f, 0, 2, 4, 1.5, 45.0).expect("unconstrained detour");
         assert_eq!(d.path, vec![0, 1, 2]);
@@ -386,17 +380,7 @@ mod tests {
         assert_eq!(f.loops_detected(), 1);
         // An explicit retraction by the relay also kills the splice.
         let f = FeasibilityTable::new();
-        assert!(s.update_row_versioned(
-            1,
-            &[
-                LinkEntry::live(10, 0.0),
-                LinkEntry::live(0, 0.0),
-                LinkEntry::live(10, 0.0),
-            ],
-            2,
-            &[2],
-            2.0,
-        ));
+        assert!(s.put_row(1, LaneRow::from_dense(&row1).with_version(2, &[2]), 2.0));
         assert!(select_detour(&s, &f, 0, 2, 4, 2.5, 45.0).is_none());
         assert_eq!(f.loops_detected(), 1);
     }

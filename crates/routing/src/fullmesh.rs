@@ -6,65 +6,57 @@
 //! per-node communication — the cost the paper's quorum scheme removes.
 
 use crate::config::ProtocolConfig;
-use crate::RoutingAlgorithm;
+use crate::{export_store_rows, RoutingAlgorithm, VersionedRow};
 use apor_linkstate::{LinkEntry, LinkStateMsg, LinkStateStore, LinkStateTable, Message};
 use apor_quorum::NodeId;
 
-/// The baseline router, generic over its store (default: the dense
-/// table — every node legitimately holds all `n` rows here, so dense
-/// `O(1)` row lookups are the right trade).
+/// The baseline router over the dense table: every node legitimately
+/// holds all `n` rows here, so dense `O(1)` row lookups and slice-copy
+/// ingest of dense frames are the right trade (the measured reason is
+/// in [`apor_linkstate::table`]).
 #[derive(Debug)]
-pub struct FullMeshRouter<S: LinkStateStore = LinkStateTable> {
+pub struct FullMeshRouter {
     me: usize,
     n: usize,
     view: u32,
     round: u32,
     config: ProtocolConfig,
-    table: S,
+    table: LinkStateTable,
 }
 
-impl FullMeshRouter<LinkStateTable> {
+impl FullMeshRouter {
     /// A baseline router for node `me` of `n` under membership `view`.
-    #[must_use]
-    pub fn new(me: usize, n: usize, view: u32, config: ProtocolConfig) -> Self {
-        Self::with_store(me, n, view, config, LinkStateTable::new(n))
-    }
-}
-
-impl<S: LinkStateStore> FullMeshRouter<S> {
-    /// A baseline router over an explicit store.
     ///
     /// # Panics
-    /// Panics if `me ≥ n` or the store covers a different `n`.
+    /// Panics if `me ≥ n`.
     #[must_use]
-    pub fn with_store(me: usize, n: usize, view: u32, config: ProtocolConfig, table: S) -> Self {
+    pub fn new(me: usize, n: usize, view: u32, config: ProtocolConfig) -> Self {
         assert!(me < n);
-        assert_eq!(table.len(), n, "store must cover n nodes");
         FullMeshRouter {
             me,
             n,
             view,
             round: 0,
             config,
-            table,
+            table: LinkStateTable::new(n),
         }
     }
 
     /// The link-state store (for inspection).
     #[must_use]
-    pub fn table(&self) -> &S {
+    pub fn table(&self) -> &LinkStateTable {
         &self.table
     }
 }
 
-impl<S: LinkStateStore> RoutingAlgorithm for FullMeshRouter<S> {
+impl RoutingAlgorithm for FullMeshRouter {
     fn on_routing_tick(
         &mut self,
         now: f64,
         own_row: &[LinkEntry],
         _rng: &mut rand_chacha::ChaCha8Rng,
     ) -> Vec<Message> {
-        self.table.update_row(self.me, own_row, now);
+        self.table.put_dense(self.me, own_row, now);
         self.round += 1;
         (0..self.n)
             .filter(|&j| j != self.me)
@@ -90,7 +82,7 @@ impl<S: LinkStateStore> RoutingAlgorithm for FullMeshRouter<S> {
                 && ls.from.index() < self.n
                 && ls.from.index() != self.me
             {
-                self.table.update_row(ls.from.index(), &ls.entries, now);
+                self.table.put_dense(ls.from.index(), &ls.entries, now);
             }
         }
         Vec::new()
@@ -125,23 +117,17 @@ impl<S: LinkStateStore> RoutingAlgorithm for FullMeshRouter<S> {
         0
     }
 
-    fn export_rows(&self) -> Vec<(usize, f64, Vec<LinkEntry>)> {
-        self.table
-            .present_rows()
-            .into_iter()
-            .filter_map(|origin| {
-                let time = self.table.row_time(origin)?;
-                Some((origin, time, self.table.row_dense(origin)?))
-            })
-            .collect()
+    fn export_rows(&self) -> Vec<VersionedRow> {
+        export_store_rows(&self.table)
     }
 
-    fn import_row(&mut self, origin: usize, entries: &[LinkEntry], received_at: f64) {
-        if origin >= self.n || entries.len() != self.n {
+    fn import_row(&mut self, row: &VersionedRow) {
+        if row.origin >= self.n || !row.row.fits(self.n) {
             return;
         }
         // Full mesh: every row is entitled.
-        self.table.update_row(origin, entries, received_at);
+        self.table
+            .put_row(row.origin, row.row.clone(), row.received_at);
     }
 }
 

@@ -2,10 +2,11 @@
 //!
 //! Everything here is a pure state machine: handlers take the current
 //! time and decoded messages, and return messages to transmit. No sockets,
-//! no clocks, no tasks — the `apor-netsim` driver and the tokio
-//! UDP driver in `apor-overlay` both run the same code, which is the
-//! property the paper leans on when it claims its emulation "uses the same
-//! implementation as the one deployed on the Internet" (section 6.1).
+//! no clocks, no tasks — any driver that delivers packets and timers runs
+//! the same code (today the `apor-netsim` simulator, through
+//! `apor-overlay`), which is the property the paper leans on when it
+//! claims its emulation "uses the same implementation as the one deployed
+//! on the Internet" (section 6.1).
 //!
 //! * [`config`] — the protocol constants of section 5's parameter table.
 //! * [`prober`] — RON link monitoring: 30 s probes, rapid re-probe after a
@@ -56,24 +57,36 @@ pub use multihop::{multihop_routes, MultiHopResult};
 pub use prober::{ProbeAction, Prober};
 pub use quorum_router::{QuorumRouter, RouteDecision};
 
-use apor_linkstate::Message;
+use apor_linkstate::{LaneRow, LinkStateStore, Message};
 
-/// One exported link-state row together with its route-discipline
-/// version: what the overlay carries across a membership change so the
-/// rebuilt router keeps both the measurements *and* the seqno guard
-/// (a carried row must not be replayable over a newer one).
+/// One exported link-state row: what the overlay carries across a
+/// membership change so the rebuilt router keeps both the measurements
+/// *and* the seqno guard (a carried row must not be replayable over a
+/// newer one).
 #[derive(Debug, Clone, PartialEq)]
 pub struct VersionedRow {
     /// Row origin (grid index in the view the row was exported from).
     pub origin: usize,
     /// Original receipt time, seconds (freshness keeps applying).
     pub received_at: f64,
-    /// The origin's row seqno (0 = unversioned).
-    pub seqno: u16,
-    /// Destinations the origin explicitly retracted at this seqno.
-    pub retractions: Vec<u16>,
-    /// The row entries, full width.
-    pub entries: Vec<apor_linkstate::LinkEntry>,
+    /// The live entries with the origin's seqno and retraction lane.
+    pub row: LaneRow,
+}
+
+/// Every row `store` holds, with its receipt time, seqno and retraction
+/// lane — the shared body of [`RoutingAlgorithm::export_rows`].
+fn export_store_rows(store: &impl LinkStateStore) -> Vec<VersionedRow> {
+    store
+        .present_rows()
+        .into_iter()
+        .filter_map(|origin| {
+            Some(VersionedRow {
+                origin,
+                received_at: store.row_time(origin)?,
+                row: store.lane_row(origin)?,
+            })
+        })
+        .collect()
 }
 
 /// The routing-side behaviour shared by the full-mesh baseline and the
@@ -106,46 +119,18 @@ pub trait RoutingAlgorithm {
     /// full-mesh baseline, which has no rendezvous.
     fn double_rendezvous_failures(&self, now: f64) -> usize;
 
-    /// Snapshot every held link-state row as `(origin index, receipt
-    /// time, entries)` — the overlay layer uses this on a membership
-    /// change to carry surviving measurements into the freshly built
-    /// router (the *incremental view remap*) instead of rebuilding from
-    /// empty.
-    fn export_rows(&self) -> Vec<(usize, f64, Vec<apor_linkstate::LinkEntry>)>;
+    /// Snapshot every held link-state row with its receipt time, seqno
+    /// and retraction lane — the overlay layer uses this on a
+    /// membership change to carry surviving measurements into the
+    /// freshly built router (the *incremental view remap*) instead of
+    /// rebuilding from empty.
+    fn export_rows(&self) -> Vec<VersionedRow>;
 
     /// Install a row carried over from a previous view, already
     /// translated into this router's index space and stamped with its
     /// *original* receipt time (so the 3-interval freshness rule keeps
-    /// applying). Implementations drop rows their role does not entitle
-    /// them to; out-of-range rows are ignored.
-    fn import_row(
-        &mut self,
-        origin: usize,
-        entries: &[apor_linkstate::LinkEntry],
-        received_at: f64,
-    );
-
-    /// [`export_rows`](RoutingAlgorithm::export_rows) carrying the
-    /// route discipline: each row's origin seqno and retraction lane
-    /// ride along. The default wraps the unversioned export (seqno 0,
-    /// nothing retracted) so baseline algorithms need no changes.
-    fn export_rows_versioned(&self) -> Vec<VersionedRow> {
-        self.export_rows()
-            .into_iter()
-            .map(|(origin, received_at, entries)| VersionedRow {
-                origin,
-                received_at,
-                seqno: 0,
-                retractions: Vec::new(),
-                entries,
-            })
-            .collect()
-    }
-
-    /// [`import_row`](RoutingAlgorithm::import_row) carrying the route
-    /// discipline. The default drops the version (baseline algorithms
-    /// store rows unversioned).
-    fn import_row_versioned(&mut self, row: &VersionedRow) {
-        self.import_row(row.origin, &row.entries, row.received_at);
-    }
+    /// applying) and its origin seqno (so older frames stay refused).
+    /// Implementations drop rows their role does not entitle them to;
+    /// out-of-range rows are ignored.
+    fn import_row(&mut self, row: &VersionedRow);
 }

@@ -34,10 +34,10 @@
 
 use crate::config::ProtocolConfig;
 use crate::feasibility::{select_detour, Detour, FeasibilityTable};
-use crate::{RoutingAlgorithm, VersionedRow};
+use crate::{export_store_rows, RoutingAlgorithm, VersionedRow};
 use apor_linkstate::{
-    LinkEntry, LinkStateMsg, LinkStateStore, Message, RecEntry, RecommendationMsg, RowStore,
-    SparseLinkStateMsg,
+    LaneRow, LinkEntry, LinkStateMsg, LinkStateStore, Message, RecEntry, RecommendationMsg,
+    RowStore, SparseLinkStateMsg,
 };
 use apor_quorum::{Grid, NodeId};
 use apor_telemetry::{Counter, Gauge, Histogram, SpanKind, Telemetry, TraceCtx, Tracer};
@@ -775,8 +775,8 @@ impl<S: LinkStateStore> RoutingAlgorithm for QuorumRouter<S> {
         self.retractions.retain(|_, r| round - *r < 3);
         self.own_row.copy_from_slice(own_row);
         let lane = self.retraction_lane();
-        self.table
-            .update_row_versioned(self.me, own_row, self.own_seqno, &lane, now);
+        let row = LaneRow::from_dense(own_row).with_version(self.own_seqno, &lane);
+        self.table.put_row(self.me, row, now);
         // Acting on a live direct link ratchets that destination's
         // feasibility distance: a detour must strictly beat what this
         // node can already do on its own.
@@ -813,11 +813,9 @@ impl<S: LinkStateStore> RoutingAlgorithm for QuorumRouter<S> {
                     && ls.entries.len() == self.n
                     && from < self.n
                     && from != self.me
-                    && self.table.update_row_versioned(
+                    && self.table.put_row(
                         from,
-                        &ls.entries,
-                        ls.seqno,
-                        &ls.retractions,
+                        LaneRow::from_dense(&ls.entries).with_version(ls.seqno, &ls.retractions),
                         now,
                     )
                 {
@@ -831,11 +829,9 @@ impl<S: LinkStateStore> RoutingAlgorithm for QuorumRouter<S> {
                     && usize::from(ls.width) == self.n
                     && from < self.n
                     && from != self.me
-                    && self.table.update_row_sparse_versioned(
+                    && self.table.put_row(
                         from,
-                        &ls.entries,
-                        ls.seqno,
-                        &ls.retractions,
+                        LaneRow::from_pairs(&ls.entries).with_version(ls.seqno, &ls.retractions),
                         now,
                     )
                 {
@@ -898,64 +894,23 @@ impl<S: LinkStateStore> RoutingAlgorithm for QuorumRouter<S> {
             .count()
     }
 
-    fn export_rows(&self) -> Vec<(usize, f64, Vec<LinkEntry>)> {
-        self.table
-            .present_rows()
-            .into_iter()
-            .filter_map(|origin| {
-                let time = self.table.row_time(origin)?;
-                Some((origin, time, self.table.row_dense(origin)?))
-            })
-            .collect()
+    fn export_rows(&self) -> Vec<VersionedRow> {
+        export_store_rows(&self.table)
     }
 
-    fn import_row(&mut self, origin: usize, entries: &[LinkEntry], received_at: f64) {
-        if origin >= self.n || entries.len() != self.n {
+    fn import_row(&mut self, row: &VersionedRow) {
+        if row.origin >= self.n || !row.row.fits(self.n) {
             return;
         }
         // Entitlement: only keep rows this node's grid role grants it —
         // its own row and its rendezvous clients'. Rows from origins
         // that are no longer clients after the view change are dropped
         // rather than remapped, keeping state O(n√n).
-        if origin != self.me && !self.grid.serves(origin, self.me) {
-            return;
-        }
-        self.table.update_row(origin, entries, received_at);
-        self.trace_row_import(origin, received_at);
-    }
-
-    fn export_rows_versioned(&self) -> Vec<VersionedRow> {
-        self.table
-            .present_rows()
-            .into_iter()
-            .filter_map(|origin| {
-                let received_at = self.table.row_time(origin)?;
-                Some(VersionedRow {
-                    origin,
-                    received_at,
-                    seqno: self.table.row_seqno(origin),
-                    retractions: self.table.row_retractions(origin),
-                    entries: self.table.row_dense(origin)?,
-                })
-            })
-            .collect()
-    }
-
-    fn import_row_versioned(&mut self, row: &VersionedRow) {
-        if row.origin >= self.n || row.entries.len() != self.n {
-            return;
-        }
-        // Same entitlement rule as the unversioned import.
         if row.origin != self.me && !self.grid.serves(row.origin, self.me) {
             return;
         }
-        self.table.update_row_versioned(
-            row.origin,
-            &row.entries,
-            row.seqno,
-            &row.retractions,
-            row.received_at,
-        );
+        self.table
+            .put_row(row.origin, row.row.clone(), row.received_at);
         self.trace_row_import(row.origin, row.received_at);
     }
 }
@@ -1327,7 +1282,7 @@ mod tests {
         }
         assert!(saw_sparse, "round one emits sparse link state");
         assert_eq!(
-            receiver.table().row_dense(3).expect("row stored"),
+            receiver.table().row_ref(3).expect("row stored").to_dense(),
             own,
             "receiver reconstructs the identical row"
         );
@@ -1800,7 +1755,7 @@ mod tests {
     }
 
     #[test]
-    fn versioned_export_import_preserves_the_replay_guard() {
+    fn export_import_preserves_the_replay_guard() {
         // Node 1 is in node 0's grid row, so 0 is entitled to its row in
         // both views.
         let n = 9;
@@ -1827,19 +1782,19 @@ mod tests {
                 retractions: vec![6],
             }),
         );
-        let rows = a.export_rows_versioned();
+        let rows = a.export_rows();
         let carried = rows.iter().find(|r| r.origin == 1).expect("row exported");
         assert_eq!(
-            (carried.seqno, carried.retractions.as_slice()),
+            (carried.row.seqno(), carried.row.retracted()),
             (9, &[6u16][..])
         );
         // A rebuilt router importing the carried row keeps the guard: a
         // delayed older frame from 1 is still rejected after the carry.
         let mut b = QuorumRouter::new(0, n, 1, ProtocolConfig::quorum());
-        b.import_row_versioned(carried);
+        b.import_row(carried);
         assert_eq!(b.table().row_seqno(1), 9);
         assert!(b.table().row_retracts(1, 6));
-        let mut stale = carried.entries.clone();
+        let mut stale = carried.row.as_row_ref(n).to_dense();
         stale[6] = LinkEntry::live(5, 0.0);
         let _ = b.on_message(
             2.0,
@@ -1992,11 +1947,13 @@ mod tests {
             );
         }
         let exported = a.export_rows();
-        assert!(exported.iter().any(|(o, t, _)| *o == 1 && *t == 2.0));
+        assert!(exported
+            .iter()
+            .any(|r| r.origin == 1 && r.received_at == 2.0));
         // A fresh router (same position) re-imports only entitled rows.
         let mut b = QuorumRouter::new(0, n, 1, cfg);
-        for (origin, t, entries) in exported {
-            b.import_row(origin, &entries, t);
+        for row in &exported {
+            b.import_row(row);
         }
         assert!(b.table().row_time(1).is_some(), "client row carried");
         assert!(

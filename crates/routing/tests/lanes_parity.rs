@@ -2,8 +2,8 @@
 //!
 //! The lanes kernel must be observationally invisible to routing: same
 //! hop chosen (including lowest-index tie-breaks), same cost to the
-//! bit, across all three row representations (dense `LinkStateTable`,
-//! lane-backed `RowStore`, and a borrowed `RowRef::Sparse` view), and
+//! bit, across both row views (the dense `LinkStateTable` slice and the
+//! lane-backed `RowStore` row, alone and mixed in one pair), and
 //! the lanes themselves must hold the exact wire bytes so a row that
 //! travelled through `wire.rs` encode/decode is bit-identical to one
 //! stored directly. The all-pairs round-two kernel must in turn equal
@@ -11,8 +11,7 @@
 
 use apor_linkstate::wire::{LinkStateMsg, SparseLinkStateMsg};
 use apor_linkstate::{
-    best_one_hop_rows, LaneRow, LinkEntry, LinkStateStore, LinkStateTable, Message, RowRef,
-    RowStore,
+    best_one_hop_rows, LaneRow, LinkEntry, LinkStateStore, LinkStateTable, Message, RowStore,
 };
 use apor_quorum::NodeId;
 use proptest::prelude::*;
@@ -94,8 +93,8 @@ fn arb_all_pairs_case(
         })
 }
 
-/// Live `(dst, entry)` pairs of a dense row, ascending — the
-/// `RowRef::Sparse` borrowed form.
+/// Live `(dst, entry)` pairs of a dense row, ascending — the payload of
+/// a sparse link-state frame.
 fn live_pairs(row: &[LinkEntry]) -> Vec<(u16, LinkEntry)> {
     row.iter()
         .enumerate()
@@ -107,13 +106,14 @@ fn live_pairs(row: &[LinkEntry]) -> Vec<(u16, LinkEntry)> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Three-way kernel parity at n = 100: the dense table, the
-    /// lane-backed sparse store, and raw `RowRef::Sparse` views all
-    /// pick the identical hop at the identical cost — exact equality,
-    /// not epsilon, since costs are integer milliseconds in every
-    /// representation.
+    /// Kernel parity at n = 100 over both row views: the dense table,
+    /// the lane-backed sparse store, and the raw kernel over a mixed
+    /// pair (one dense slice, one lane row — the merge-join path rather
+    /// than the shared-lane fast path) all pick the identical hop at
+    /// the identical cost — exact equality, not epsilon, since costs
+    /// are integer milliseconds in both views.
     #[test]
-    fn three_way_kernel_parity_n100(
+    fn two_view_kernel_parity_n100(
         rows in prop::collection::vec(arb_row(100), 4..7),
         pairs in prop::collection::vec((0usize..4, 0usize..100), 8..9),
     ) {
@@ -123,8 +123,8 @@ proptest! {
         for (i, row) in rows.iter().enumerate() {
             let mut row = row.clone();
             row[i] = LinkEntry::live(0, 0.0);
-            dense.update_row(i, &row, 0.0);
-            lanes.update_row(i, &row, 0.0);
+            dense.put_dense(i, &row, 0.0);
+            lanes.put_row(i, LaneRow::from_dense(&row), 0.0);
         }
         for &(a, b) in &pairs {
             // Origins 0..rows.len() all hold rows; `a` is one of them.
@@ -135,15 +135,14 @@ proptest! {
             let got = lanes.best_one_hop(a, b, 1.0, 45.0);
             prop_assert_eq!(got, want, "store parity a={} b={}", a, b);
 
-            // Raw kernel over borrowed Sparse views of the same rows.
+            // Raw kernel over mixed borrowed views of the same rows.
             if b < rows.len() {
-                let pa = live_pairs(&dense.row_dense(a).unwrap());
-                let pb = live_pairs(&dense.row_dense(b).unwrap());
-                let ra = RowRef::Sparse { width: n, entries: &pa };
-                let rb = RowRef::Sparse { width: n, entries: &pb };
-                let raw = best_one_hop_rows(&ra, &rb, a, b)
-                    .map(|(h, c)| (h, f64::from(c)));
-                prop_assert_eq!(raw, want, "RowRef::Sparse parity a={} b={}", a, b);
+                let (da, db) = (dense.row_ref(a).unwrap(), dense.row_ref(b).unwrap());
+                let (la, lb) = (lanes.row_ref(a).unwrap(), lanes.row_ref(b).unwrap());
+                for (ra, rb) in [(&da, &lb), (&la, &db)] {
+                    let raw = best_one_hop_rows(ra, rb, a, b).map(|(h, c)| (h, f64::from(c)));
+                    prop_assert_eq!(raw, want, "mixed-view parity a={} b={}", a, b);
+                }
             }
 
             prop_assert_eq!(
@@ -218,8 +217,8 @@ proptest! {
         for (o, stale, row) in &spec {
             // Stored at -100 s: older than max_age at t = 1.
             let at = if *stale { -100.0 } else { 0.0 };
-            lanes.update_row(*o, row, at);
-            dense.update_row(*o, row, at);
+            lanes.put_row(*o, LaneRow::from_dense(row), at);
+            dense.put_dense(*o, row, at);
         }
         let got = lanes.best_hops_all_pairs(&members, 1.0, 45.0);
         prop_assert_eq!(got.member_count(), members.len());
@@ -246,10 +245,9 @@ fn batch_all_none_when_row_stale() {
     let n = 8;
     let mut store = RowStore::new(n);
     let row: Vec<LinkEntry> = (0..n as u16).map(|d| LinkEntry::live(d + 1, 0.0)).collect();
-    store.update_row(0, &row, 0.0);
-    store.update_row(1, &row, 0.0);
-    store.update_row(2, &row, 50.0);
-    store.update_row(3, &row, 50.0);
+    for (o, at) in [(0, 0.0), (1, 0.0), (2, 50.0), (3, 50.0)] {
+        store.put_row(o, LaneRow::from_dense(&row), at);
+    }
     let members = [3, 0, 2, 1];
     // At t=40 every row is fresh (max_age 45).
     let fresh = store.best_hops_all_pairs(&members, 40.0, 45.0);
@@ -294,7 +292,7 @@ fn all_pairs_tie_breaks() {
     r2[6] = live(1);
     r2[7] = live(65534);
     for (o, r) in [(0, &r0), (1, &r1), (2, &r2)] {
-        store.update_row(o, r, 0.0);
+        store.put_row(o, LaneRow::from_dense(r), 0.0);
     }
     let members = [0, 1, 2];
     let got = store.best_hops_all_pairs(&members, 1.0, 45.0);

@@ -44,7 +44,7 @@ fn arb_table(n: usize) -> impl Strategy<Value = LinkStateTable> {
                     }
                 })
                 .collect();
-            t.update_row(i, &entries, 0.0);
+            t.put_dense(i, &entries, 0.0);
         }
         t
     })
@@ -101,7 +101,7 @@ proptest! {
     fn sparse_store_matches_dense(table in arb_table(12), a in 0usize..12, b in 0usize..12) {
         let mut sparse = RowStore::new(12);
         for origin in table.present_rows() {
-            sparse.update_row(origin, &table.row_dense(origin).unwrap(), table.row_time(origin).unwrap());
+            sparse.put_row(origin, table.lane_row(origin).unwrap(), table.row_time(origin).unwrap());
         }
         prop_assert_eq!(sparse.row_count(), table.row_count());
         prop_assert_eq!(

@@ -58,18 +58,20 @@ fn coalesced_replays_fixed_tick_bit_identically() {
         let c = overlay_at(&coalesced, i);
 
         // Identical link-state tables, down to the f64 bits of the row
-        // timestamps and every wire-quantized entry.
+        // timestamps, every wire-quantized entry, each seqno and each
+        // retraction lane.
         let fr = f.quorum_router().expect("quorum node").export_rows();
         let cr = c.quorum_router().expect("quorum node").export_rows();
         assert_eq!(fr.len(), cr.len(), "node {i}: row count");
-        for ((fo, ft, fe), (co, ct, ce)) in fr.iter().zip(cr.iter()) {
-            assert_eq!(fo, co, "node {i}: row origin");
+        for (fx, cx) in fr.iter().zip(cr.iter()) {
+            let (fo, ft, ct) = (fx.origin, fx.received_at, cx.received_at);
+            assert_eq!(fo, cx.origin, "node {i}: row origin");
             assert_eq!(
                 ft.to_bits(),
                 ct.to_bits(),
                 "node {i}: row {fo} timestamp ({ft} vs {ct})"
             );
-            assert_eq!(fe, ce, "node {i}: row {fo} entries");
+            assert_eq!(fx.row, cx.row, "node {i}: row {fo} lanes");
         }
 
         // Identical routing decisions for every destination.

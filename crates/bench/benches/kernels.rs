@@ -212,9 +212,10 @@ fn bench_dense_vs_sparse(c: &mut Criterion) {
 /// The full round-two server tick as the router actually runs it — not
 /// just the inner kernel. A warm quorum server at n = 1024 holds its
 /// own row plus all `~2√n` rendezvous clients' rows, and
-/// `on_routing_tick` performs failover management, round-one link-state
-/// fan-out and the full recommendation computation for every fresh
-/// client pair. Two row shapes:
+/// `on_routing_tick` performs failover management, builds the round-one
+/// link-state frame once for all its servers and runs the full
+/// recommendation computation for every fresh client pair. Two row
+/// shapes:
 ///
 /// * `server_tick` — every row fully live (ground truth): each pair
 ///   works over 1024-entry rows sharing one destination lane;
@@ -278,7 +279,7 @@ fn bench_round_two_tick(c: &mut Criterion) {
                 let _ = router.on_message(0.25, &msg);
             }
             g.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
-                b.iter(|| black_box(router.on_routing_tick(0.5, &own, &mut rng).len()));
+                b.iter(|| black_box(router.on_routing_tick(0.5, &own, &mut rng)));
             });
         }
     }

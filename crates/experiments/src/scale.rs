@@ -236,11 +236,18 @@ where
         // Per-node tick with immediate delivery: messages (and cascaded
         // replies) land before the next node ticks, keeping peak queue
         // memory O(√n · n) instead of O(n · √n · n) for the whole round.
+        // Receivers never read `to`, so every recipient of the round-one
+        // frame is handed the one shared frame. Deliveries run last-first
+        // with each cascade drained depth-first.
         for i in 0..n {
-            let mut queue: Vec<Message> = routers[i].on_routing_tick(now, &rows[i], &mut rng);
-            while let Some(msg) = queue.pop() {
-                let to = msg.to().index();
-                queue.extend(routers[to].on_message(now + 0.001, &msg));
+            let tick = routers[i].on_routing_tick(now, &rows[i], &mut rng);
+            let sends: Vec<(usize, &Message)> = tick.deliveries().collect();
+            for (to, msg) in sends.into_iter().rev() {
+                let mut queue = routers[to].on_message(now + 0.001, msg);
+                while let Some(reply) = queue.pop() {
+                    let to = reply.to().index();
+                    queue.extend(routers[to].on_message(now + 0.001, &reply));
+                }
             }
         }
         now += interval;

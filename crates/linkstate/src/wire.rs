@@ -40,6 +40,10 @@ pub const PROBE_BATCH_HEADER_SIZE: usize = 12;
 /// Wire size of the sparse link-state header (entries add 5 each).
 pub const SPARSE_LINKSTATE_HEADER_SIZE: usize = 23;
 
+/// Byte offset of the 2-byte `to` field: every frame opens with its
+/// 1-byte type tag and 2-byte `from`.
+const TO_OFFSET: usize = 3;
+
 /// Message type tags.
 const T_PROBE: u8 = 1;
 const T_PROBE_REPLY: u8 = 2;
@@ -560,6 +564,26 @@ impl Message {
             }
         }
         b.freeze()
+    }
+
+    /// Serialize once and return one frame per recipient: each is
+    /// [`Message::encode`] with that recipient stamped into the 2-byte
+    /// `to` field, byte-for-byte what encoding a copy of `self`
+    /// addressed to it would produce. `self.to` itself never reaches
+    /// the output. This is how a round-one link-state row — identical
+    /// for every rendezvous server, or every peer in the full mesh — is
+    /// serialized once per tick instead of once per recipient.
+    #[must_use]
+    pub fn encode_fanout(&self, recipients: &[NodeId]) -> Vec<Bytes> {
+        let frame = self.encode();
+        recipients
+            .iter()
+            .map(|to| {
+                let mut raw = frame.to_vec();
+                raw[TO_OFFSET..TO_OFFSET + 2].copy_from_slice(&to.0.to_be_bytes());
+                Bytes::from(raw)
+            })
+            .collect()
     }
 
     /// Serialize, appending `ctx` as a trace trailer when present.

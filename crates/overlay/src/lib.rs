@@ -27,7 +27,11 @@
 //!
 //! Routers, probers and their link-state stores operate in *grid-index
 //! space* (positions in the current sorted member list); the wire
-//! carries identities. On a membership change the node rebuilds its
+//! carries identities. [`node`] translates every routing frame at that
+//! boundary in place, with O(1) lookups both ways
+//! ([`MembershipView::index_of`] reads a reverse table built with the
+//! view), and serializes each tick's round-one frame once for all its
+//! recipients. On a membership change the node rebuilds its
 //! router for the new grid but does **not** start from empty: the
 //! [`remap`] module translates every surviving link-state row by
 //! [`NodeId`](apor_quorum::NodeId) into the new index space, dropping

@@ -12,16 +12,25 @@
 //! are the failover machinery's business, not membership's.
 
 use apor_quorum::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// An installed membership view: version + sorted members.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Both directions of the identity↔index translation are O(1):
+/// [`MembershipView::id_of`] indexes `members`, and
+/// [`MembershipView::index_of`] reads a reverse table built once in
+/// [`MembershipView::new`]. The fields are private so the table can never
+/// drift from the member list.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MembershipView {
     /// Monotonic version.
-    pub version: u32,
+    version: u32,
     /// Members sorted ascending by id; grid index = position here.
-    pub members: Vec<NodeId>,
+    members: Vec<NodeId>,
+    /// `position[id]` is the grid index of member `id`, for every id up
+    /// to the largest member. Slots of non-members hold 0, so a lookup
+    /// confirms `members[position[id]] == id` before answering.
+    position: Vec<u16>,
 }
 
 impl MembershipView {
@@ -30,7 +39,29 @@ impl MembershipView {
     pub fn new(version: u32, mut members: Vec<NodeId>) -> Self {
         members.sort_unstable();
         members.dedup();
-        MembershipView { version, members }
+        let width = members.last().map_or(0, |m| usize::from(m.0) + 1);
+        let mut position = vec![0u16; width];
+        for (idx, m) in members.iter().enumerate() {
+            position[usize::from(m.0)] =
+                u16::try_from(idx).expect("at most 65536 distinct u16 ids");
+        }
+        MembershipView {
+            version,
+            members,
+            position,
+        }
+    }
+
+    /// Monotonic version.
+    #[must_use]
+    pub fn version(&self) -> u32 {
+        self.version
+    }
+
+    /// Members sorted ascending by id; grid index = position here.
+    #[must_use]
+    pub fn members(&self) -> &[NodeId] {
+        &self.members
     }
 
     /// Number of members.
@@ -48,7 +79,8 @@ impl MembershipView {
     /// The grid index of `id` in this view.
     #[must_use]
     pub fn index_of(&self, id: NodeId) -> Option<usize> {
-        self.members.binary_search(&id).ok()
+        let idx = usize::from(*self.position.get(usize::from(id.0))?);
+        (self.members.get(idx) == Some(&id)).then_some(idx)
     }
 
     /// The member at grid index `idx`.
@@ -140,7 +172,7 @@ mod tests {
     #[test]
     fn view_sorted_and_deduped() {
         let v = MembershipView::new(3, vec![NodeId(5), NodeId(1), NodeId(5), NodeId(9)]);
-        assert_eq!(v.members, vec![NodeId(1), NodeId(5), NodeId(9)]);
+        assert_eq!(v.members(), [NodeId(1), NodeId(5), NodeId(9)]);
         assert_eq!(v.index_of(NodeId(5)), Some(1));
         assert_eq!(v.id_of(2), Some(NodeId(9)));
         assert_eq!(v.index_of(NodeId(7)), None);
@@ -148,14 +180,26 @@ mod tests {
         assert_eq!(v.len(), 3);
     }
 
+    /// The reverse table needs no sentinel: a view of every u16 id maps
+    /// the last id, 65535, to the last index.
+    #[test]
+    fn full_id_space_translates() {
+        let v = MembershipView::new(1, (0..=u16::MAX).rev().map(NodeId).collect());
+        assert_eq!(v.len(), 65536);
+        for id in [0u16, 1, 32768, u16::MAX - 1, u16::MAX] {
+            assert_eq!(v.index_of(NodeId(id)), Some(usize::from(id)));
+            assert_eq!(v.id_of(usize::from(id)), Some(NodeId(id)));
+        }
+    }
+
     #[test]
     fn joins_bump_version_once() {
         let mut c = Coordinator::new(NodeId(0), 0.0, 1800.0);
-        assert_eq!(c.view().version, 1);
+        assert_eq!(c.view().version(), 1);
         assert!(c.on_join(NodeId(4), 1.0));
         assert!(!c.on_join(NodeId(4), 2.0), "keepalive is not a change");
-        assert_eq!(c.view().version, 2);
-        assert_eq!(c.view().members, vec![NodeId(0), NodeId(4)]);
+        assert_eq!(c.view().version(), 2);
+        assert_eq!(c.view().members(), [NodeId(0), NodeId(4)]);
     }
 
     #[test]
@@ -170,7 +214,7 @@ mod tests {
         c.heartbeat_self(NodeId(0), 120.0);
         assert!(c.expire(120.0), "node heard at t=10 should expire");
         let v = c.view();
-        assert_eq!(v.members, vec![NodeId(0)]);
+        assert_eq!(v.members(), [NodeId(0)]);
         assert!(!c.expire(121.0), "no further change");
     }
 

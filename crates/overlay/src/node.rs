@@ -16,6 +16,17 @@
 //! ([`NodeId`]). This module owns the translation at the boundary, in
 //! both directions, including the `dst`/`hop` fields inside
 //! recommendation messages.
+//!
+//! Translation rewrites the owned message in place — no routing frame is
+//! cloned on the way in or out — and each lookup is O(1):
+//! [`MembershipView::id_of`] indexes the member list and
+//! [`MembershipView::index_of`] reads the view's reverse table. A routing
+//! tick's round-one frame is translated once and serialized once; each
+//! recipient gets a copy with its identity stamped into the `to` field
+//! ([`Message::encode_fanout`]). Only the three routing variants cross
+//! this boundary: anything else a router hands back is a program bug,
+//! caught by a debug assertion and dropped, never sent to a guessed
+//! address.
 
 use crate::config::{Algorithm, MembershipMode, NodeConfig, Scheduling};
 use crate::membership::{Coordinator, MembershipView};
@@ -434,7 +445,7 @@ impl OverlayNode {
                 prober.note_episode(ctx);
             }
         }
-        match &msg {
+        match msg {
             Message::Probe(p) => {
                 // Liveness works at identity level, independent of views.
                 out.send(
@@ -492,20 +503,22 @@ impl OverlayNode {
                     );
                 }
             }
-            Message::LinkState(_) | Message::LinkStateSparse(_) | Message::Recommendations(_) => {
-                if let Some(inner) = self.wire_to_index(&msg) {
+            routing @ (Message::LinkState(_)
+            | Message::LinkStateSparse(_)
+            | Message::Recommendations(_)) => {
+                if let Some(inner) = self.wire_to_index(routing) {
                     let replies = match &mut self.router {
                         Some(router) => router.as_dyn_mut().on_message(now, &inner),
                         None => Vec::new(),
                     };
                     for reply in replies {
-                        self.send_index_msg(&reply, out);
+                        self.send_index_msg(reply, out);
                     }
                 }
             }
             Message::Join { from, .. } => {
                 if let Some(c) = &mut self.coordinator {
-                    let changed = c.on_join(*from, now);
+                    let changed = c.on_join(from, now);
                     let view = c.view();
                     if changed {
                         self.broadcast_view(&view, out);
@@ -513,12 +526,12 @@ impl OverlayNode {
                     } else {
                         // Keepalive: refresh the sender's copy of the view.
                         out.send(
-                            *from,
+                            from,
                             &Message::View(apor_linkstate::wire::ViewMsg {
                                 from: self.cfg.id,
-                                to: *from,
-                                view: view.version,
-                                members: view.members,
+                                to: from,
+                                view: view.version(),
+                                members: view.members().to_vec(),
                             }),
                         );
                     }
@@ -526,7 +539,7 @@ impl OverlayNode {
             }
             Message::Leave { from, .. } => {
                 if let Some(c) = &mut self.coordinator {
-                    if c.on_leave(*from) {
+                    if c.on_leave(from) {
                         let view = c.view();
                         self.broadcast_view(&view, out);
                         self.install_view(view, now, out);
@@ -534,7 +547,7 @@ impl OverlayNode {
                 }
             }
             Message::View(v) => {
-                let view = MembershipView::new(v.view, v.members.clone());
+                let view = MembershipView::new(v.view, v.members);
                 self.install_view(view, now, out);
             }
         }
@@ -682,7 +695,7 @@ impl OverlayNode {
 
     fn install_view(&mut self, view: MembershipView, now: f64, out: &mut Outbox) {
         if let Some(current) = &self.view {
-            if view.version <= current.version {
+            if view.version() <= current.version() {
                 return;
             }
         }
@@ -713,7 +726,7 @@ impl OverlayNode {
             // membership bump doesn't blind the overlay for a probing
             // interval.
             if let (Some(old_view), Some(old_prober)) = (&old, &old_prober) {
-                for (new_idx, id) in view.members.iter().enumerate() {
+                for (new_idx, id) in view.members().iter().enumerate() {
                     if new_idx == me {
                         continue;
                     }
@@ -730,14 +743,14 @@ impl OverlayNode {
                 Algorithm::FullMesh => RouterBox::FullMesh(FullMeshRouter::new(
                     me,
                     n,
-                    view.version,
+                    view.version(),
                     self.cfg.protocol.clone(),
                 )),
                 Algorithm::Quorum => RouterBox::Quorum(
                     QuorumRouter::new_with_telemetry(
                         me,
                         n,
-                        view.version,
+                        view.version(),
                         self.cfg.protocol.clone(),
                         &self.telemetry,
                     )
@@ -809,7 +822,7 @@ impl OverlayNode {
                 SpanKind::ViewInstall,
                 ctx.episode,
                 parent,
-                view.version,
+                view.version(),
                 now,
             );
         }
@@ -817,7 +830,7 @@ impl OverlayNode {
             now,
             Severity::Info,
             EventKind::ViewInstalled {
-                version: u64::from(view.version),
+                version: u64::from(view.version()),
                 members: view.len() as u32,
             },
         );
@@ -825,7 +838,7 @@ impl OverlayNode {
     }
 
     fn broadcast_view(&self, view: &MembershipView, out: &mut Outbox) {
-        for &m in &view.members {
+        for &m in view.members() {
             if m == self.cfg.id {
                 continue;
             }
@@ -834,8 +847,8 @@ impl OverlayNode {
                 &Message::View(apor_linkstate::wire::ViewMsg {
                     from: self.cfg.id,
                     to: m,
-                    view: view.version,
-                    members: view.members.clone(),
+                    view: view.version(),
+                    members: view.members().to_vec(),
                 }),
             );
         }
@@ -892,7 +905,7 @@ impl OverlayNode {
             return;
         };
         let Some(_me) = self.my_index else { return };
-        let version = view.version;
+        let version = view.version();
         // `poll_traced` hands back the armed episode context exactly
         // once, on the first poll that emits work after a view change;
         // the batches it produced carry the context (hop bumped) so the
@@ -949,97 +962,89 @@ impl OverlayNode {
             return;
         };
         let row = prober.own_row(now);
-        let msgs = router
+        let tick = router
             .as_dyn_mut()
             .on_routing_tick(now, &row, &mut self.rng);
-        for m in msgs {
-            self.send_index_msg(&m, out);
+        if let Some(frame) = tick.frame {
+            self.send_frame(frame, &tick.frame_to, out);
+        }
+        for m in tick.msgs {
+            self.send_index_msg(m, out);
         }
     }
 
-    /// Translate a router-produced (index-space) message to identity space
-    /// and queue it.
-    fn send_index_msg(&self, msg: &Message, out: &mut Outbox) {
+    /// Translate a tick's round-one frame to identity space once and
+    /// queue one encoding per recipient (grid indices `frame_to`), each
+    /// with its recipient's identity stamped into `to`.
+    fn send_frame(&self, frame: Message, frame_to: &[usize], out: &mut Outbox) {
         let Some(view) = &self.view else { return };
-        let map = |idx_id: NodeId| view.id_of(idx_id.index());
-        match msg {
-            Message::LinkState(ls) => {
-                let (Some(from), Some(to)) = (map(ls.from), map(ls.to)) else {
-                    return;
-                };
-                let mut wire = ls.clone();
-                wire.from = from;
-                wire.to = to;
-                out.send(to, &Message::LinkState(wire));
-            }
-            Message::LinkStateSparse(ls) => {
-                let (Some(from), Some(to)) = (map(ls.from), map(ls.to)) else {
-                    return;
-                };
-                // Entry indices are view-positional (like the dense
-                // row), guarded by the receiver's view/width check.
-                let mut wire = ls.clone();
-                wire.from = from;
-                wire.to = to;
-                out.send(to, &Message::LinkStateSparse(wire));
-            }
-            Message::Recommendations(rm) => {
-                let (Some(from), Some(to)) = (map(rm.from), map(rm.to)) else {
-                    return;
-                };
-                let mut wire = rm.clone();
-                wire.from = from;
-                wire.to = to;
-                wire.recs
-                    .retain(|r| map(r.dst).is_some() && map(r.hop).is_some());
-                for r in &mut wire.recs {
-                    r.dst = map(r.dst).expect("retained");
-                    r.hop = map(r.hop).expect("retained");
-                }
-                out.send(to, &Message::Recommendations(wire));
-            }
-            other => {
-                out.send(other.to(), other);
-            }
+        let Some(wire) = translate(frame, self.cfg.id, |idx| view.id_of(idx.index())) else {
+            return;
+        };
+        let recipients: Vec<NodeId> = frame_to.iter().filter_map(|&i| view.id_of(i)).collect();
+        let class = class_of(&wire);
+        for (&to, bytes) in recipients.iter().zip(wire.encode_fanout(&recipients)) {
+            out.sends.push((to, class, bytes));
+        }
+    }
+
+    /// Translate a router-produced (index-space) routing message to
+    /// identity space in place and queue it.
+    fn send_index_msg(&self, msg: Message, out: &mut Outbox) {
+        let Some(view) = &self.view else { return };
+        let Some(to) = view.id_of(msg.to().index()) else {
+            return;
+        };
+        if let Some(wire) = translate(msg, to, |idx| view.id_of(idx.index())) {
+            out.send(to, &wire);
         }
     }
 
     /// Translate an incoming identity-space routing message into index
-    /// space; `None` when the sender (or any referenced id) is not in the
-    /// current view.
-    fn wire_to_index(&self, msg: &Message) -> Option<Message> {
+    /// space in place; `None` when the sender is not in the current view.
+    fn wire_to_index(&self, msg: Message) -> Option<Message> {
         let view = self.view.as_ref()?;
-        let me = self.my_index?;
-        let map = |id: NodeId| view.index_of(id).map(NodeId::from_index);
-        match msg {
-            Message::LinkState(ls) => {
-                let mut inner = ls.clone();
-                inner.from = map(ls.from)?;
-                inner.to = NodeId::from_index(me);
-                Some(Message::LinkState(inner))
-            }
-            Message::LinkStateSparse(ls) => {
-                let mut inner = ls.clone();
-                inner.from = map(ls.from)?;
-                inner.to = NodeId::from_index(me);
-                Some(Message::LinkStateSparse(inner))
-            }
-            Message::Recommendations(rm) => {
-                let mut inner = rm.clone();
-                inner.from = map(rm.from)?;
-                inner.to = NodeId::from_index(me);
-                inner
-                    .recs
-                    .retain(|r| map(r.dst).is_some() && map(r.hop).is_some());
-                for r in &mut inner.recs {
-                    r.dst = map(r.dst).expect("retained");
-                    r.hop = map(r.hop).expect("retained");
-                }
-                Some(Message::Recommendations(inner))
-            }
-            _ => None,
-        }
+        let me = NodeId::from_index(self.my_index?);
+        translate(msg, me, |id| view.index_of(id).map(NodeId::from_index))
     }
+}
+
+/// Rewrite a routing message between index and identity space in place:
+/// `from` goes through `map`, `to` becomes `to`, and recommendation
+/// entries whose `dst` or `hop` has no image under `map` are dropped.
+/// `None` when `from` has no image. Row entries and retraction lanes
+/// stay view-positional in both spaces: receivers guard them with their
+/// view and width checks. Only the three routing variants may reach this
+/// point; any other is a program bug, dropped after a debug assertion
+/// rather than sent anywhere.
+fn translate(
+    mut msg: Message,
+    to: NodeId,
+    map: impl Fn(NodeId) -> Option<NodeId>,
+) -> Option<Message> {
+    debug_assert!(
+        class_of(&msg) == TrafficClass::Routing,
+        "non-routing message at the index/identity boundary: {msg:?}"
+    );
+    let (from, addressee, recs) = match &mut msg {
+        Message::LinkState(m) => (&mut m.from, &mut m.to, None),
+        Message::LinkStateSparse(m) => (&mut m.from, &mut m.to, None),
+        Message::Recommendations(m) => (&mut m.from, &mut m.to, Some(&mut m.recs)),
+        _ => return None,
+    };
+    *from = map(*from)?;
+    *addressee = to;
+    if let Some(recs) = recs {
+        recs.retain_mut(|r| match (map(r.dst), map(r.hop)) {
+            (Some(dst), Some(hop)) => {
+                r.dst = dst;
+                r.hop = hop;
+                true
+            }
+            _ => false,
+        });
+    }
+    Some(msg)
 }
 
 #[cfg(test)]
@@ -1132,11 +1137,11 @@ mod tests {
         let mut out = Outbox::default();
         joiner.on_packet(0.6, &view_msg.2, &mut out);
         assert!(joiner.is_member());
-        assert_eq!(joiner.view().unwrap().members, vec![NodeId(0), NodeId(7)]);
+        assert_eq!(joiner.view().unwrap().members(), [NodeId(0), NodeId(7)]);
         assert_eq!(joiner.my_index(), Some(1));
         assert_eq!(
-            coord.view().unwrap().version,
-            joiner.view().unwrap().version
+            coord.view().unwrap().version(),
+            joiner.view().unwrap().version()
         );
     }
 
@@ -1162,7 +1167,83 @@ mod tests {
             );
             let m = Message::decode(bytes).unwrap();
             assert_eq!(m.from(), NodeId(10), "wire sender must be identity");
+            assert_eq!(m.to(), *to, "each copy is stamped with its recipient");
         }
+    }
+
+    /// Recommendation entries naming a `dst` or `hop` outside the view
+    /// are dropped — exactly those, in both directions — while the rest
+    /// translate in place with their costs intact.
+    #[test]
+    fn non_member_rec_entries_dropped_both_ways() {
+        use apor_linkstate::{RecEntry, RecFormat, RecommendationMsg};
+
+        // Members {3, 10, 200}: identity ≠ index; I am 10 (index 1).
+        let members = vec![NodeId(3), NodeId(10), NodeId(200)];
+        let mut node = OverlayNode::new(
+            NodeConfig::new(NodeId(10), NodeId(3), Algorithm::Quorum).with_static_members(members),
+        );
+        node.on_start(0.0, &mut Outbox::default());
+        let rec = |dst: u16, hop: u16, cost_ms: u16| RecEntry {
+            dst: NodeId(dst),
+            hop: NodeId(hop),
+            cost_ms,
+        };
+        let recs_msg = |from: u16, to: u16, recs: Vec<RecEntry>| {
+            Message::Recommendations(RecommendationMsg {
+                from: NodeId(from),
+                to: NodeId(to),
+                view: 1,
+                round: 4,
+                basis_ms: 60_000,
+                format: RecFormat::WithCost,
+                recs,
+            })
+        };
+
+        // Outbound, index space: index 7 and 5 are outside a 3-member view.
+        let mut out = Outbox::default();
+        let outbound = vec![rec(2, 0, 11), rec(7, 0, 12), rec(0, 5, 13), rec(2, 2, 14)];
+        node.send_index_msg(recs_msg(1, 0, outbound), &mut out);
+        let [(to, class, bytes)] = &out.sends[..] else {
+            panic!("expected one frame, got {:?}", out.sends);
+        };
+        assert_eq!((*to, *class), (NodeId(3), TrafficClass::Routing));
+        assert_eq!(
+            Message::decode(bytes).unwrap(),
+            recs_msg(10, 3, vec![rec(200, 3, 11), rec(200, 200, 14)])
+        );
+
+        // Inbound, identity space: ids 99 and 65535 are not members.
+        let inbound = vec![
+            rec(3, 200, 21),
+            rec(99, 3, 22),
+            rec(3, 65535, 23),
+            rec(200, 200, 24),
+        ];
+        let inner = node.wire_to_index(recs_msg(200, 10, inbound)).unwrap();
+        assert_eq!(inner, recs_msg(2, 1, vec![rec(0, 2, 21), rec(2, 2, 24)]));
+        // A frame from a non-member is dropped whole.
+        assert!(node.wire_to_index(recs_msg(99, 10, vec![])).is_none());
+    }
+
+    /// A non-routing message at the index/identity boundary is a program
+    /// bug: debug builds stop on it, and release builds drop it rather
+    /// than send it to `NodeId(index)`.
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "non-routing message"))]
+    fn non_routing_message_is_never_sent() {
+        let mut node = static_node(2, 9, Algorithm::Quorum);
+        node.on_start(0.0, &mut Outbox::default());
+        let mut out = Outbox::default();
+        node.send_index_msg(
+            Message::Join {
+                from: NodeId(2),
+                to: NodeId(5),
+            },
+            &mut out,
+        );
+        assert!(out.sends.is_empty());
     }
 
     #[test]

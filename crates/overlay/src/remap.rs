@@ -46,11 +46,11 @@ pub fn remap_rows(
     now: f64,
     max_age: f64,
 ) -> Vec<VersionedRow> {
-    // Precompute the destination translation once (O(n) lookups instead
-    // of a binary search per entry).
+    // Precompute the destination translation once, so relabelling an
+    // entry is one array read.
     #[allow(clippy::cast_possible_truncation)]
     let old_to_new: Vec<Option<u16>> = old_view
-        .members
+        .members()
         .iter()
         .map(|&id| new_view.index_of(id).map(|i| i as u16))
         .collect();

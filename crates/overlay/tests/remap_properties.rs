@@ -66,7 +66,7 @@ fn load_store(view: &MembershipView, rows: &BTreeMap<u16, (f64, Vec<u16>)>) -> R
             continue; // message from a non-member is never delivered
         };
         let entries: Vec<LinkEntry> = view
-            .members
+            .members()
             .iter()
             .map(|d| LinkEntry::live(lats[d.0 as usize], 0.0))
             .collect();
@@ -102,12 +102,12 @@ fn dense_remap_oracle(
     max_age: f64,
 ) -> Vec<DenseRow> {
     let new_to_old: Vec<Option<usize>> = new_view
-        .members
+        .members()
         .iter()
         .map(|&id| old_view.index_of(id))
         .collect();
     let old_to_new: Vec<Option<usize>> = old_view
-        .members
+        .members()
         .iter()
         .map(|&id| new_view.index_of(id))
         .collect();
@@ -210,7 +210,7 @@ proptest! {
             let carried = carried.expect("fresh surviving row must be carried");
             prop_assert_eq!(carried.received_at, *t, "receipt time must be preserved");
             let entries = carried.row.as_row_ref(new_view.len()).to_dense();
-            for (new_dst, d) in new_view.members.iter().enumerate() {
+            for (new_dst, d) in new_view.members().iter().enumerate() {
                 if old_view.contains(*d) {
                     prop_assert_eq!(
                         entries[new_dst].latency_ms, lats[d.0 as usize],
@@ -261,7 +261,7 @@ proptest! {
                         .row_ref(origin)
                         .expect("continuous member's row survives")
                         .to_dense();
-                    for (new_dst, d) in last.members.iter().enumerate() {
+                    for (new_dst, d) in last.members().iter().enumerate() {
                         let dst_continuous = views.iter().all(|v| v.contains(*d));
                         if dst_continuous {
                             prop_assert_eq!(row[new_dst].latency_ms, lats[d.0 as usize]);
@@ -300,7 +300,7 @@ proptest! {
         // `me` must be a member of both views.
         let mut old_ids = old_ids;
         let new_view = MembershipView::new(2, new_ids);
-        let me_id = new_view.members[me_pick % new_view.len()];
+        let me_id = new_view.members()[me_pick % new_view.len()];
         if !old_ids.contains(&me_id) {
             old_ids.push(me_id);
         }
@@ -349,7 +349,7 @@ proptest! {
                 continue;
             };
             let entries: Vec<LinkEntry> = old_view
-                .members
+                .members()
                 .iter()
                 .map(|d| lats[d.0 as usize].map_or_else(LinkEntry::dead, |l| LinkEntry::live(l, 0.0)))
                 .collect();

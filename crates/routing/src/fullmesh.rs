@@ -6,7 +6,7 @@
 //! per-node communication — the cost the paper's quorum scheme removes.
 
 use crate::config::ProtocolConfig;
-use crate::{export_store_rows, RoutingAlgorithm, VersionedRow};
+use crate::{export_store_rows, RoutingAlgorithm, TickOut, VersionedRow};
 use apor_linkstate::{LinkEntry, LinkStateMsg, LinkStateStore, LinkStateTable, Message};
 use apor_quorum::NodeId;
 
@@ -55,24 +55,24 @@ impl RoutingAlgorithm for FullMeshRouter {
         now: f64,
         own_row: &[LinkEntry],
         _rng: &mut rand_chacha::ChaCha8Rng,
-    ) -> Vec<Message> {
+    ) -> TickOut {
         self.table.put_dense(self.me, own_row, now);
         self.round += 1;
-        (0..self.n)
-            .filter(|&j| j != self.me)
-            .map(|j| {
-                Message::LinkState(LinkStateMsg {
-                    from: NodeId::from_index(self.me),
-                    to: NodeId::from_index(j),
-                    view: self.view,
-                    round: self.round,
-                    basis_ms: (now * 1000.0) as u32,
-                    entries: own_row.to_vec(),
-                    seqno: 0,
-                    retractions: vec![],
-                })
-            })
-            .collect()
+        // One row, broadcast: built once, addressed to every peer.
+        TickOut {
+            frame: Some(Message::LinkState(LinkStateMsg {
+                from: NodeId::from_index(self.me),
+                to: NodeId::from_index(self.me),
+                view: self.view,
+                round: self.round,
+                basis_ms: (now * 1000.0) as u32,
+                entries: own_row.to_vec(),
+                seqno: 0,
+                retractions: vec![],
+            })),
+            frame_to: (0..self.n).filter(|&j| j != self.me).collect(),
+            msgs: Vec::new(),
+        }
     }
 
     fn on_message(&mut self, now: f64, msg: &Message) -> Vec<Message> {
@@ -160,15 +160,20 @@ mod tests {
             live_row(&[300, 50, 0]),
         ];
         let mut r = rng();
-        let mut msgs = Vec::new();
-        for (i, router) in routers.iter_mut().enumerate() {
-            msgs.extend(router.on_routing_tick(1.0, &rows[i], &mut r));
-        }
+        let ticks: Vec<TickOut> = routers
+            .iter_mut()
+            .enumerate()
+            .map(|(i, router)| router.on_routing_tick(1.0, &rows[i], &mut r))
+            .collect();
         // Each of 3 nodes broadcasts to 2 peers.
-        assert_eq!(msgs.len(), 6);
-        for m in &msgs {
-            let to = m.to().index();
-            routers[to].on_message(1.1, m);
+        assert_eq!(
+            ticks.iter().map(|t| t.deliveries().count()).sum::<usize>(),
+            6
+        );
+        for tick in &ticks {
+            for (to, m) in tick.deliveries() {
+                routers[to].on_message(1.1, m);
+            }
         }
         assert_eq!(routers[0].best_hop(2, 2.0), Some(1));
         assert_eq!(routers[2].best_hop(0, 2.0), Some(1));
@@ -181,8 +186,8 @@ mod tests {
         let mut a = FullMeshRouter::new(0, 2, 0, cfg.clone());
         let mut b = FullMeshRouter::new(1, 2, 0, cfg.clone());
         let mut r = rng();
-        let m = a.on_routing_tick(0.0, &live_row(&[0, 10]), &mut r);
-        for msg in &m {
+        let tick = a.on_routing_tick(0.0, &live_row(&[0, 10]), &mut r);
+        for (_, msg) in tick.deliveries() {
             b.on_message(0.1, msg);
         }
         let _ = b.on_routing_tick(0.2, &live_row(&[10, 0]), &mut r);
@@ -197,8 +202,9 @@ mod tests {
         let mut a = FullMeshRouter::new(0, 2, 7, cfg.clone());
         let mut b = FullMeshRouter::new(1, 2, 8, cfg);
         let mut r = rng();
-        for msg in a.on_routing_tick(0.0, &live_row(&[0, 10]), &mut r) {
-            b.on_message(0.1, &msg);
+        let tick = a.on_routing_tick(0.0, &live_row(&[0, 10]), &mut r);
+        for (_, msg) in tick.deliveries() {
+            b.on_message(0.1, msg);
         }
         assert!(b.table().row_time(0).is_none(), "cross-view row accepted");
     }
@@ -210,8 +216,9 @@ mod tests {
         let mut b = FullMeshRouter::new(1, 2, 0, cfg);
         let mut r = rng();
         assert_eq!(b.route_age(0, 5.0), None);
-        for msg in a.on_routing_tick(0.0, &live_row(&[0, 10]), &mut r) {
-            b.on_message(2.0, &msg);
+        let tick = a.on_routing_tick(0.0, &live_row(&[0, 10]), &mut r);
+        for (_, msg) in tick.deliveries() {
+            b.on_message(2.0, msg);
         }
         assert_eq!(b.route_age(0, 5.0), Some(3.0));
         assert_eq!(b.double_rendezvous_failures(5.0), 0);
@@ -225,7 +232,14 @@ mod tests {
         let mut router = FullMeshRouter::new(0, n, 0, cfg);
         let row = live_row(&vec![1u16; n]);
         let mut r = rng();
-        let msgs = router.on_routing_tick(0.0, &row, &mut r);
-        assert_eq!(msgs.len(), n - 1);
+        let tick = router.on_routing_tick(0.0, &row, &mut r);
+        assert_eq!(tick.deliveries().count(), n - 1);
+        // …all carrying the one row, built once.
+        assert!(tick.msgs.is_empty());
+        assert_eq!(tick.frame_to, (1..n).collect::<Vec<_>>());
+        match &tick.frame {
+            Some(Message::LinkState(ls)) => assert_eq!(ls.entries, row),
+            other => panic!("expected one dense frame, got {other:?}"),
+        }
     }
 }

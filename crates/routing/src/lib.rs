@@ -89,17 +89,52 @@ fn export_store_rows(store: &impl LinkStateStore) -> Vec<VersionedRow> {
         .collect()
 }
 
+/// What one routing tick transmits.
+///
+/// Round one sends the *same* link-state row to every recipient (about
+/// `2√n` rendezvous servers in the quorum, all `n − 1` peers in the full
+/// mesh), so the tick returns that frame once together with the list of
+/// its recipients; drivers serialize it once and stamp each recipient
+/// into the `to` field ([`Message::encode_fanout`]). The frame's own
+/// `to` is the sender's index — a placeholder: receivers never read
+/// `to`, so a driver that delivers decoded messages can hand the one
+/// shared frame to every recipient as is. Round-two recommendations
+/// differ per client and stay individually addressed messages.
+#[derive(Debug)]
+pub struct TickOut {
+    /// This tick's round-one link-state frame, if it sends one.
+    pub frame: Option<Message>,
+    /// Grid indices that receive `frame`, ascending; never the sender.
+    pub frame_to: Vec<usize>,
+    /// Per-client messages (round-two recommendations), each addressed
+    /// by its own `to`.
+    pub msgs: Vec<Message>,
+}
+
+impl TickOut {
+    /// Every transmission this tick stands for, as `(recipient, message)`
+    /// pairs: the frame once per recipient (in `frame_to` order), then
+    /// `msgs` — the order the node puts them on the wire.
+    pub fn deliveries(&self) -> impl Iterator<Item = (usize, &Message)> + '_ {
+        self.frame
+            .iter()
+            .flat_map(|f| self.frame_to.iter().map(move |&to| (to, f)))
+            .chain(self.msgs.iter().map(|m| (m.to().index(), m)))
+    }
+}
+
 /// The routing-side behaviour shared by the full-mesh baseline and the
 /// quorum router, so the overlay node runtime is algorithm-agnostic.
 pub trait RoutingAlgorithm {
     /// Called every routing interval with the node's freshly measured own
-    /// link-state row. Returns the messages to transmit.
+    /// link-state row. Returns the tick's link-state frame once with its
+    /// recipients, plus the per-client recommendations (see [`TickOut`]).
     fn on_routing_tick(
         &mut self,
         now: f64,
         own_row: &[apor_linkstate::LinkEntry],
         rng: &mut rand_chacha::ChaCha8Rng,
-    ) -> Vec<Message>;
+    ) -> TickOut;
 
     /// Called for every routing-class message addressed to this node.
     /// May return immediate transmissions (e.g. link state to a freshly

@@ -34,7 +34,7 @@
 
 use crate::config::ProtocolConfig;
 use crate::feasibility::{select_detour, Detour, FeasibilityTable};
-use crate::{export_store_rows, RoutingAlgorithm, VersionedRow};
+use crate::{export_store_rows, RoutingAlgorithm, TickOut, VersionedRow};
 use apor_linkstate::{
     LaneRow, LinkEntry, LinkStateMsg, LinkStateStore, Message, RecEntry, RecommendationMsg,
     RowStore, SparseLinkStateMsg,
@@ -166,6 +166,10 @@ pub struct QuorumRouter<S: LinkStateStore = RowStore> {
     /// destinations it has vouched for — `O(√n · √n)` entries total
     /// versus the `n` slots per server a dense row would burn.
     rec_seen: Vec<BTreeMap<usize, f64>>,
+    /// Entries across all of `rec_seen`, kept as a running count: entries
+    /// are never removed, so bumping it on each new key is exact and the
+    /// byte gauge costs O(1) per recommendation frame.
+    rec_seen_entries: usize,
     /// When I first sent link state to each server (grace-period
     /// anchor); grid-indexed, [`NEVER`] = never served.
     serving_since: Vec<f64>,
@@ -254,6 +258,7 @@ impl<S: LinkStateStore> QuorumRouter<S> {
             my_servers,
             routes: vec![None; n],
             rec_seen: vec![BTreeMap::new(); n],
+            rec_seen_entries: 0,
             serving_since: vec![NEVER; n],
             failover: vec![FailoverState::default(); n],
             own_seqno: 0,
@@ -277,6 +282,7 @@ impl<S: LinkStateStore> QuorumRouter<S> {
     pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
         self.counters = RouterCounters::new(telemetry);
         self.feasibility = FeasibilityTable::with_telemetry(telemetry);
+        self.update_rec_seen_gauges();
         self
     }
 
@@ -327,8 +333,7 @@ impl<S: LinkStateStore> QuorumRouter<S> {
     /// `(dst, timestamp)` entry).
     #[must_use]
     pub fn rec_seen_bytes(&self) -> u64 {
-        let entries: usize = self.rec_seen.iter().map(BTreeMap::len).sum();
-        (entries * 16) as u64
+        (self.rec_seen_entries * 16) as u64
     }
 
     fn update_rec_seen_gauges(&self) {
@@ -627,7 +632,11 @@ impl<S: LinkStateStore> QuorumRouter<S> {
         newly_selected
     }
 
-    fn linkstate_msg(&self, to: usize, now: f64) -> Message {
+    /// This tick's round-one frame: my row with its seqno and
+    /// retraction lane, built once for every server. `to` is left at my
+    /// own index (see [`TickOut`]).
+    fn linkstate_frame(&self, now: f64, retractions: Vec<u16>) -> Message {
+        let from = NodeId::from_index(self.me);
         // Sparse encoding pays off once the live-entry count k satisfies
         // 23 + 5k < 21 + 3n, i.e. k < (3n − 2)/5. Under entitled probing
         // a row holds O(√n) live entries and this always wins; fully-live
@@ -644,26 +653,26 @@ impl<S: LinkStateStore> QuorumRouter<S> {
                 .map(|(dst, e)| (dst as u16, *e))
                 .collect();
             Message::LinkStateSparse(SparseLinkStateMsg {
-                from: NodeId::from_index(self.me),
-                to: NodeId::from_index(to),
+                from,
+                to: from,
                 view: self.view,
                 round: self.round,
                 basis_ms: (now * 1000.0) as u32,
                 width: self.n as u16,
                 entries,
                 seqno: self.own_seqno,
-                retractions: self.retraction_lane(),
+                retractions,
             })
         } else {
             Message::LinkState(LinkStateMsg {
-                from: NodeId::from_index(self.me),
-                to: NodeId::from_index(to),
+                from,
+                to: from,
                 view: self.view,
                 round: self.round,
                 basis_ms: (now * 1000.0) as u32,
                 entries: self.own_row.clone(),
                 seqno: self.own_seqno,
-                retractions: self.retraction_lane(),
+                retractions,
             })
         }
     }
@@ -747,7 +756,7 @@ impl<S: LinkStateStore> RoutingAlgorithm for QuorumRouter<S> {
         now: f64,
         own_row: &[LinkEntry],
         rng: &mut ChaCha8Rng,
-    ) -> Vec<Message> {
+    ) -> TickOut {
         assert_eq!(own_row.len(), self.n);
         self.round += 1;
         // Route discipline bookkeeping: diff the fresh row against the
@@ -791,18 +800,21 @@ impl<S: LinkStateStore> RoutingAlgorithm for QuorumRouter<S> {
         // freshly selected failover gets link state in this very tick.
         let _newly = self.manage_failovers(now, rng);
 
-        let mut msgs = Vec::new();
-        // Round one: link state to all current servers.
-        for s in self.current_servers() {
+        // Round one: one link-state frame for all current servers.
+        let servers = self.current_servers();
+        for &s in &servers {
             if self.serving_since[s] == NEVER {
                 self.serving_since[s] = now;
             }
-            self.counters.ls_sent.inc();
-            msgs.push(self.linkstate_msg(s, now));
         }
+        self.counters.ls_sent.add(servers.len() as u64);
+        let frame = (!servers.is_empty()).then(|| self.linkstate_frame(now, lane));
         // Round two: recommendations to all fresh clients.
-        msgs.extend(self.compute_recommendations(now));
-        msgs
+        TickOut {
+            frame,
+            frame_to: servers,
+            msgs: self.compute_recommendations(now),
+        }
     }
 
     fn on_message(&mut self, now: f64, msg: &Message) -> Vec<Message> {
@@ -850,7 +862,9 @@ impl<S: LinkStateStore> RoutingAlgorithm for QuorumRouter<S> {
                     if dst >= self.n || hop >= self.n || dst == self.me {
                         continue;
                     }
-                    self.rec_seen[server].insert(dst, now);
+                    if self.rec_seen[server].insert(dst, now).is_none() {
+                        self.rec_seen_entries += 1;
+                    }
                     self.counters.rec_entries_received.inc();
                     let newer = self.routes[dst].is_none_or(|r| now >= r.received_at);
                     if newer {
@@ -947,18 +961,18 @@ mod tests {
 
         /// One routing interval for everyone. `rows[i]` is node i's own row.
         fn tick(&mut self, now: f64, rows: &[Vec<LinkEntry>]) {
-            let mut inbox: Vec<Message> = Vec::new();
+            let mut queue: Vec<(usize, Message)> = Vec::new();
             for (i, r) in self.routers.iter_mut().enumerate() {
-                inbox.extend(r.on_routing_tick(now, &rows[i], &mut self.rng));
+                let tick = r.on_routing_tick(now, &rows[i], &mut self.rng);
+                queue.extend(tick.deliveries().map(|(to, m)| (to, m.clone())));
             }
             // Deliver, collecting any immediate responses (failover LS).
-            let mut queue = inbox;
-            while let Some(m) = queue.pop() {
-                let (f, t) = (m.from().index(), m.to().index());
-                if !(self.link_up)(f, t) {
+            while let Some((t, m)) = queue.pop() {
+                if !(self.link_up)(m.from().index(), t) {
                     continue;
                 }
-                queue.extend(self.routers[t].on_message(now + 0.01, &m));
+                let replies = self.routers[t].on_message(now + 0.01, &m);
+                queue.extend(replies.into_iter().map(|r| (r.to().index(), r)));
             }
         }
     }
@@ -1077,6 +1091,67 @@ mod tests {
         assert!(snap.counter(3, "routing", "ls_sent").unwrap_or(0) > 0);
     }
 
+    /// The running `rec_seen` entry count behind the byte gauge matches a
+    /// from-scratch sum over a seeded sequence of recommendation frames —
+    /// repeated (server, dst) pairs, out-of-range ids, recs about myself
+    /// and cross-view frames included — and stays exact when
+    /// `with_telemetry` re-registers the router against a registry whose
+    /// gauge holds some other value.
+    #[test]
+    fn rec_seen_gauge_matches_a_fresh_sum() {
+        use rand::Rng;
+
+        let n = 25u16;
+        let fresh_sum = |r: &QuorumRouter| -> u64 {
+            (r.rec_seen.iter().map(BTreeMap::len).sum::<usize>() * 16) as u64
+        };
+        let first = Telemetry::new(1);
+        let second = Telemetry::new(1);
+        second.gauge("routing", "rec_seen_bytes").set(999);
+        let mut r = QuorumRouter::new(0, usize::from(n), 0, ProtocolConfig::quorum())
+            .with_telemetry(&first);
+        let mut live = &first;
+        let mut draw = ChaCha8Rng::seed_from_u64(4242);
+        for k in 0..400 {
+            let recs = (0..draw.gen_range(0..8))
+                .map(|_| RecEntry {
+                    dst: NodeId(draw.gen_range(0..n + 2)),
+                    hop: NodeId(draw.gen_range(0..n + 2)),
+                    cost_ms: draw.gen_range(1..500),
+                })
+                .collect();
+            let _ = r.on_message(
+                k as f64,
+                &Message::Recommendations(RecommendationMsg {
+                    from: NodeId(draw.gen_range(0..n + 1)),
+                    to: NodeId(0),
+                    view: u32::from(k % 13 == 0),
+                    round: k,
+                    basis_ms: 0,
+                    format: apor_linkstate::RecFormat::WithCost,
+                    recs,
+                }),
+            );
+            let want = fresh_sum(&r);
+            assert_eq!(r.rec_seen_bytes(), want, "frame {k}");
+            assert_eq!(
+                live.snapshot().gauge(1, "routing", "rec_seen_bytes"),
+                Some(want),
+                "frame {k}"
+            );
+            if k == 200 {
+                assert!(want > 0);
+                r = r.with_telemetry(&second);
+                live = &second;
+                assert_eq!(
+                    second.snapshot().gauge(1, "routing", "rec_seen_bytes"),
+                    Some(want),
+                    "re-registration publishes the running count"
+                );
+            }
+        }
+    }
+
     /// A server's round-two messages from `on_routing_tick` equal the
     /// messages rebuilt pair by pair with `best_one_hop` over the same
     /// store — across default and failover clients, rows straddling the
@@ -1133,7 +1208,7 @@ mod tests {
         let mut checked_stale = false;
         for j in 0..=senders.len() {
             let now = 10.0 + max_age + 0.5 * j as f64;
-            let msgs = r.on_routing_tick(now, &own, &mut tick_rng);
+            let msgs = r.on_routing_tick(now, &own, &mut tick_rng).msgs;
             let got: Vec<&RecommendationMsg> = msgs
                 .iter()
                 .filter_map(|m| match m {
@@ -1221,13 +1296,14 @@ mod tests {
             .collect();
         let mut g = rng();
         for t in [0.0, 15.0] {
-            let mut queue: Vec<Message> = Vec::new();
+            let mut queue: Vec<(usize, Message)> = Vec::new();
             for (i, r) in dense.iter_mut().enumerate() {
-                queue.extend(r.on_routing_tick(t, &rows[i], &mut g));
+                let tick = r.on_routing_tick(t, &rows[i], &mut g);
+                queue.extend(tick.deliveries().map(|(to, m)| (to, m.clone())));
             }
-            while let Some(m) = queue.pop() {
-                let to = m.to().index();
-                queue.extend(dense[to].on_message(t + 0.01, &m));
+            while let Some((to, m)) = queue.pop() {
+                let replies = dense[to].on_message(t + 0.01, &m);
+                queue.extend(replies.into_iter().map(|r| (r.to().index(), r)));
             }
         }
         let mut sparse = Fabric::new(n, &cfg);
@@ -1263,24 +1339,17 @@ mod tests {
             own[j] = LinkEntry::live(20 + j as u16, 0.0);
         }
         let mut g = rng();
-        let msgs = sender.on_routing_tick(0.0, &own, &mut g);
-        let mut saw_sparse = false;
+        let tick = sender.on_routing_tick(0.0, &own, &mut g);
         let mut receiver = QuorumRouter::new(13, n, 0, cfg.clone());
-        for m in &msgs {
-            match m {
-                Message::LinkStateSparse(sm) => {
-                    saw_sparse = true;
-                    assert_eq!(usize::from(sm.width), n);
-                    assert!(sm.entries.iter().all(|(_, e)| e.alive));
-                    if sm.to.index() == 13 {
-                        let _ = receiver.on_message(0.5, m);
-                    }
-                }
-                Message::LinkState(_) => panic!("sparse row must not go dense"),
-                _ => {}
+        match &tick.frame {
+            Some(m @ Message::LinkStateSparse(sm)) => {
+                assert_eq!(usize::from(sm.width), n);
+                assert!(sm.entries.iter().all(|(_, e)| e.alive));
+                assert!(tick.frame_to.contains(&13));
+                let _ = receiver.on_message(0.5, m);
             }
+            other => panic!("round one must emit sparse link state, got {other:?}"),
         }
-        assert!(saw_sparse, "round one emits sparse link state");
         assert_eq!(
             receiver.table().row_ref(3).expect("row stored").to_dense(),
             own,
@@ -1289,10 +1358,8 @@ mod tests {
 
         // Fully-live rows stay dense.
         let full: Vec<LinkEntry> = (0..n).map(|_| LinkEntry::live(10, 0.0)).collect();
-        let msgs = sender.on_routing_tick(15.0, &full, &mut g);
-        assert!(msgs
-            .iter()
-            .all(|m| !matches!(m, Message::LinkStateSparse(_))));
+        let tick = sender.on_routing_tick(15.0, &full, &mut g);
+        assert!(matches!(tick.frame, Some(Message::LinkState(_))));
     }
 
     /// The sparse store only ever holds the rows the node's role grants
@@ -1326,11 +1393,9 @@ mod tests {
             let mut r = QuorumRouter::new(0, n, 0, cfg.clone());
             let row = vec![LinkEntry::live(10, 0.0); n];
             let mut g = rng();
-            let msgs = r.on_routing_tick(0.0, &row, &mut g);
-            let ls_count = msgs
-                .iter()
-                .filter(|m| matches!(m, Message::LinkState(_)))
-                .count();
+            let tick = r.on_routing_tick(0.0, &row, &mut g);
+            assert!(matches!(tick.frame, Some(Message::LinkState(_))));
+            let ls_count = tick.frame_to.len();
             let bound = 2 * (n as f64).sqrt().ceil() as usize;
             assert!(
                 ls_count <= bound,
@@ -1349,8 +1414,9 @@ mod tests {
         // After one tick node 4 (grid position (1,1)) has clients = its
         // row {3, 5} and column {1, 7}.
         let mut g = rng();
-        let msgs = fabric.routers[4].on_routing_tick(15.0, &rows[4], &mut g);
-        let rec_targets: Vec<usize> = msgs
+        let tick = fabric.routers[4].on_routing_tick(15.0, &rows[4], &mut g);
+        let rec_targets: Vec<usize> = tick
+            .msgs
             .iter()
             .filter_map(|m| match m {
                 Message::Recommendations(r) => Some(r.to.index()),
@@ -1675,28 +1741,25 @@ mod tests {
         let mut own: Vec<LinkEntry> = (0..n).map(|_| LinkEntry::live(50, 0.0)).collect();
         own[0] = LinkEntry::live(0, 0.0);
         let mut g = rng();
-        let msgs = me.on_routing_tick(0.0, &own, &mut g);
+        let tick = me.on_routing_tick(0.0, &own, &mut g);
         assert_eq!(me.own_seqno(), 0, "no retraction event yet");
-        let Some(Message::LinkState(ls)) = msgs.iter().find(|m| matches!(m, Message::LinkState(_)))
-        else {
+        let Some(Message::LinkState(ls)) = tick.frame else {
             panic!("expected dense link state");
         };
         assert_eq!((ls.seqno, ls.retractions.as_slice()), (0, &[][..]));
         // Link to 3 dies: seqno bumps once, the lane advertises dst 3.
         own[3] = LinkEntry::dead();
-        let msgs = me.on_routing_tick(15.0, &own, &mut g);
+        let tick = me.on_routing_tick(15.0, &own, &mut g);
         assert_eq!(me.own_seqno(), 1);
-        let Some(Message::LinkState(ls)) = msgs.iter().find(|m| matches!(m, Message::LinkState(_)))
-        else {
+        let Some(Message::LinkState(ls)) = tick.frame else {
             panic!("expected dense link state");
         };
         assert_eq!((ls.seqno, ls.retractions.as_slice()), (1, &[3u16][..]));
         // The lane ages out after three rounds of advertisement…
         let _ = me.on_routing_tick(30.0, &own, &mut g);
         let _ = me.on_routing_tick(45.0, &own, &mut g);
-        let msgs = me.on_routing_tick(60.0, &own, &mut g);
-        let Some(Message::LinkState(ls)) = msgs.iter().find(|m| matches!(m, Message::LinkState(_)))
-        else {
+        let tick = me.on_routing_tick(60.0, &own, &mut g);
+        let Some(Message::LinkState(ls)) = tick.frame else {
             panic!("expected dense link state");
         };
         assert_eq!(ls.retractions, Vec::<u16>::new(), "lane aged out");
@@ -1706,9 +1769,8 @@ mod tests {
         let _ = me.on_routing_tick(75.0, &own, &mut g);
         assert_eq!(me.own_seqno(), 2);
         own[5] = LinkEntry::live(50, 0.0);
-        let msgs = me.on_routing_tick(90.0, &own, &mut g);
-        let Some(Message::LinkState(ls)) = msgs.iter().find(|m| matches!(m, Message::LinkState(_)))
-        else {
+        let tick = me.on_routing_tick(90.0, &own, &mut g);
+        let Some(Message::LinkState(ls)) = tick.frame else {
             panic!("expected dense link state");
         };
         assert_eq!(ls.retractions, Vec::<u16>::new(), "recovered link leaves");

@@ -65,7 +65,7 @@
 //! dense lookups `O(1)`) and as the reference implementation in tests.
 
 use crate::entry::{Cost, LinkEntry, INFINITE_COST, INFINITE_COST_U32};
-use apor_telemetry::{Counter, EventKind, Gauge, Severity, Telemetry};
+use apor_telemetry::{Counter, Gauge, Telemetry};
 use std::collections::BTreeMap;
 
 /// A borrowed view of one link-state row: dense or lanes.
@@ -1256,7 +1256,6 @@ pub struct RowStore {
     /// Live entries across all held rows, kept current by every write
     /// so the size gauges never re-sum the map.
     entries_held: usize,
-    telemetry: Telemetry,
     rows_merged: Counter,
     rows_evicted: Counter,
     rows_held: Gauge,
@@ -1281,7 +1280,6 @@ impl RowStore {
             stale_after: None,
             peak_rows: 0,
             entries_held: 0,
-            telemetry,
             rows_merged,
             rows_evicted,
             rows_held,
@@ -1291,9 +1289,11 @@ impl RowStore {
     }
 
     /// Attach a telemetry handle: row merges/evictions count under
-    /// component `"linkstate"` and enter the event journal. Call before
-    /// the store receives traffic — the attached registry starts with
-    /// fresh (zeroed) cells.
+    /// component `"linkstate"`, and the size gauges publish this
+    /// store's sizes at once. The cells are shared by name, so a store
+    /// rebuilt onto a node's registry (a router rebuilt at a view
+    /// change) overwrites the previous store's gauges instead of
+    /// reporting them until its first write.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.rows_merged = telemetry.counter("linkstate", "rows_merged");
@@ -1301,7 +1301,7 @@ impl RowStore {
         self.rows_held = telemetry.gauge("linkstate", "rows_held");
         self.row_bytes_lanes = telemetry.gauge("linkstate", "row_bytes_lanes");
         self.row_bytes_aos = telemetry.gauge("linkstate", "row_bytes_aos");
-        self.telemetry = telemetry;
+        self.update_size_gauges();
         self
     }
 
@@ -1319,17 +1319,10 @@ impl RowStore {
             .set((self.entries_held * std::mem::size_of::<(u16, LinkEntry)>()) as u64);
     }
 
-    /// Count one merged row (counter + journal + size gauges).
-    fn note_merge(&mut self, origin: usize, now: f64) {
+    /// Count one merged row and refresh the size gauges.
+    fn note_merge(&self) {
         self.rows_merged.inc();
         self.update_size_gauges();
-        self.telemetry.event(
-            now,
-            Severity::Debug,
-            EventKind::RowMerged {
-                origin: origin as u32,
-            },
-        );
     }
 
     /// An empty store that debug-asserts `row_count ≤ max_rows` on
@@ -1376,13 +1369,6 @@ impl RowStore {
                         self.entries_held -= gone.lanes.len();
                     }
                     self.rows_evicted.inc();
-                    self.telemetry.event(
-                        now,
-                        Severity::Info,
-                        EventKind::RowEvicted {
-                            origin: origin as u32,
-                        },
-                    );
                 }
                 self.update_size_gauges();
             }
@@ -1435,7 +1421,7 @@ impl RowStore {
                 self.note_insert();
             }
         }
-        self.note_merge(origin, now);
+        self.note_merge();
     }
 }
 
@@ -1475,7 +1461,7 @@ impl LinkStateStore for RowStore {
             slot.lanes.set(dst as u16, entry);
             self.entries_held = self.entries_held + slot.lanes.len() - before;
             slot.received_at = now;
-            self.note_merge(origin, now);
+            self.note_merge();
         } else {
             let lanes = if entry.alive {
                 LaneRow::from_pairs(&[(dst as u16, entry)])
@@ -1755,10 +1741,45 @@ mod tests {
         assert_eq!(snap.counter(7, "linkstate", "rows_merged"), Some(3));
         assert_eq!(snap.counter(7, "linkstate", "rows_evicted"), Some(2));
         assert_eq!(snap.gauge(7, "linkstate", "rows_held"), Some(1));
-        assert!(telemetry
-            .events()
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::RowEvicted { origin: 0 })));
+        // The two evicted rows are the stale ones; the new row stays.
+        assert!(s.lane_row(0).is_none());
+        assert!(s.lane_row(1).is_none());
+        assert!(s.lane_row(2).is_some());
+    }
+
+    /// A store attached to a registry whose linkstate gauges already
+    /// hold another store's sizes (the router rebuilt at a view change
+    /// re-registers on the node's shared registry) reports its own
+    /// sizes at once, and a fresh sum after its first write.
+    #[test]
+    fn attached_store_overwrites_stale_size_gauges() {
+        const GAUGES: [&str; 3] = ["rows_held", "row_bytes_lanes", "row_bytes_aos"];
+        let telemetry = Telemetry::new(5);
+        for name in GAUGES {
+            telemetry.gauge("linkstate", name).set(999);
+        }
+        let mut s = RowStore::new(8).with_telemetry(telemetry.clone());
+        let gauges = || {
+            let snap = telemetry.snapshot();
+            GAUGES.map(|name| snap.gauge(5, "linkstate", name))
+        };
+        assert_eq!(gauges(), [Some(0); 3]);
+        let row =
+            LaneRow::from_pairs(&[(0, LinkEntry::live(5, 0.0)), (3, LinkEntry::live(9, 0.0))]);
+        s.put_row(2, row, 1.0);
+        let held: usize = s
+            .present_rows()
+            .into_iter()
+            .map(|o| s.row_ref(o).unwrap().iter_live().count())
+            .sum();
+        assert_eq!(
+            gauges(),
+            [
+                Some(s.row_count() as u64),
+                Some((held * LaneRow::ENTRY_BYTES) as u64),
+                Some((held * std::mem::size_of::<(u16, LinkEntry)>()) as u64),
+            ]
+        );
     }
 
     /// The size gauges and `entry_count` read a running entry total;

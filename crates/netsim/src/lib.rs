@@ -53,6 +53,5 @@ mod queue;
 mod sim;
 mod stats;
 
-pub use apor_telemetry::DropCause;
-pub use sim::{Ctx, NodeBehavior, Simulator, SimulatorConfig, CORE_TELEMETRY_NODE};
+pub use sim::{Ctx, DropCause, NodeBehavior, Simulator, SimulatorConfig, CORE_TELEMETRY_NODE};
 pub use stats::{Direction, TrafficClass, TrafficStats};

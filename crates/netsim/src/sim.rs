@@ -2,7 +2,7 @@
 
 use crate::queue::EventQueue;
 use crate::stats::{Direction, TrafficClass, TrafficStats};
-use apor_telemetry::{Counter, DropCause, EventKind, Histogram, Severity, Snapshot, Telemetry};
+use apor_telemetry::{Counter, Histogram, Snapshot, Telemetry};
 use apor_topology::{FailureSchedule, LatencyMatrix};
 use bytes::Bytes;
 use rand::{Rng, SeedableRng};
@@ -160,6 +160,39 @@ enum Event {
         node: usize,
         token: u64,
     },
+}
+
+/// Why the simulated network dropped a packet. The distinction is the
+/// point: a queue-overflow drop indicts the receiver's capacity, a
+/// link-down drop indicts the failure schedule (partition or outage).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DropCause {
+    /// The failure schedule had the link (or an endpoint) down —
+    /// partitions and outages land here.
+    LinkDown,
+    /// The latency matrix marks the pair unreachable (no path exists).
+    Unreachable,
+    /// Bernoulli packet loss on an up link.
+    Loss,
+    /// The receiver's bounded ingress queue was full.
+    QueueOverflow,
+    /// The receiver was down at delivery time (crashed mid-flight).
+    ReceiverDown,
+}
+
+impl DropCause {
+    /// Stable lowercase label; the cause's counter is
+    /// `netsim/drop_<label>`.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            DropCause::LinkDown => "link_down",
+            DropCause::Unreachable => "unreachable",
+            DropCause::Loss => "loss",
+            DropCause::QueueOverflow => "queue_overflow",
+            DropCause::ReceiverDown => "receiver_down",
+        }
+    }
 }
 
 /// Pre-registered per-node network metrics: the packet fate counters
@@ -475,16 +508,7 @@ impl Simulator {
             DropCause::LinkDown | DropCause::Unreachable | DropCause::Loss => from,
             DropCause::QueueOverflow | DropCause::ReceiverDown => to,
         };
-        let m = &self.net[owner];
-        m.drops[drop_slot(cause)].inc();
-        m.telemetry.event(
-            self.now,
-            Severity::Warn,
-            EventKind::PacketDropped {
-                to: to as u32,
-                cause,
-            },
-        );
+        self.net[owner].drops[drop_slot(cause)].inc();
     }
 
     /// The network model: account the transmission, then decide loss and
@@ -528,11 +552,6 @@ impl Simulator {
         let arrival = self.now + (base * jitter).max(0.0);
         self.inflight[to] += 1;
         self.net[to].queued.inc();
-        self.net[to].telemetry.event(
-            self.now,
-            Severity::Debug,
-            EventKind::PacketQueued { to: to as u32 },
-        );
         self.enqueue(
             arrival,
             Event::Deliver {
@@ -918,6 +937,21 @@ mod tests {
     }
 
     #[test]
+    fn drop_cause_labels_are_distinct() {
+        let all = [
+            DropCause::LinkDown,
+            DropCause::Unreachable,
+            DropCause::Loss,
+            DropCause::QueueOverflow,
+            DropCause::ReceiverDown,
+        ];
+        let mut labels: Vec<&str> = all.iter().map(|c| c.label()).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), all.len());
+    }
+
+    #[test]
     fn loss_drop_is_counted_as_loss() {
         let mut m = LatencyMatrix::uniform(2, 10.0);
         m.set_loss(0, 1, 1.0);
@@ -981,15 +1015,6 @@ mod tests {
         sim.add_node(Box::new(Echoer), 0.0);
         sim.run_until(50.0);
         assert_eq!(drop_counts(&sim, 0), [1, 0, 0, 0, 0]);
-        // The journal carries the structured drop event with its cause.
-        let events = sim.telemetry(0).events();
-        assert!(events.iter().any(|e| matches!(
-            e.kind,
-            apor_telemetry::EventKind::PacketDropped {
-                to: 1,
-                cause: DropCause::LinkDown
-            }
-        )));
     }
 
     #[test]

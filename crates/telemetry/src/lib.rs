@@ -1,5 +1,5 @@
 //! The fleet telemetry plane: a zero-external-dependency metrics
-//! registry, a bounded event journal, and the bench regression gate.
+//! registry, causal trace spans, and the bench regression gate.
 //!
 //! The paper's claims are quantitative — `O(n√n)` state, `O(n√n)` probe
 //! traffic, near-optimal one-hop routing — so every layer of the repro
@@ -37,30 +37,20 @@
 //!   no locks, no allocation, no branching beyond the add. Histograms
 //!   add a leading-zeros bucket index (one instruction) and four such
 //!   adds.
-//! * **Journal path**: a severity check (one relaxed atomic load)
-//!   before anything else; events below the journal's threshold cost
-//!   exactly that load. Recorded events take a short mutex on a bounded
-//!   ring — the journal is for protocol-rate events (suspicions, view
-//!   installs, syncs), not per-packet data.
 //! * **Disabled handles** ([`Telemetry::disabled`]) still count — so
 //!   protocol code can read its own counters for control decisions —
-//!   but export nothing: [`Telemetry::snapshot`] is empty and the
-//!   journal records zero events.
+//!   but export nothing: [`Telemetry::snapshot`] is empty.
 //!
-//! # Export formats
+//! # Export format
 //!
 //! [`Snapshot`] is the export unit: a point-in-time copy of every
 //! registered metric, keyed `(node, component, name)`. Snapshots
 //! [`merge`](Snapshot::merge) across a fleet (counters/gauges/histogram
 //! buckets sum, maxima max — the operation is associative and
-//! commutative, so fold order is irrelevant) and export two ways:
-//!
-//! * [`Snapshot::to_json`] — one `{"node":…,"component":…,…}` object
-//!   per metric; histograms carry `count/sum/max` plus estimated
-//!   `p50/p90/p99` (log₂-bucket upper bounds) and the sparse bucket
-//!   list.
-//! * [`Snapshot::to_csv`] — the same table flattened to
-//!   `node,component,name,kind,value,count,sum,max,p50,p90,p99` rows.
+//! commutative, so fold order is irrelevant) and export as JSON:
+//! [`Snapshot::to_json`] writes one `{"node":…,"component":…,…}` object
+//! per metric; histograms carry `count/sum/max` plus estimated
+//! `p50/p90/p99` (log₂-bucket upper bounds) and the sparse bucket list.
 //!
 //! # The perf trajectory
 //!
@@ -74,25 +64,23 @@
 //!
 //! # Causal tracing
 //!
-//! The third observability layer (after metrics and the journal) is
-//! the [`trace`] module: per-node span flight recorders, the wire
+//! The second observability layer (after metrics) is the [`trace`]
+//! module: per-node span flight recorders, the wire
 //! [`trace::TraceCtx`] that carries episode identity across nodes, and
 //! the Chrome trace-event exporter/validator behind the
-//! `results/*_trace.json` files. The three layers, their export
-//! schemas and the Perfetto workflow are documented in
-//! `docs/OBSERVABILITY.md` at the repository root.
+//! `results/*_trace.json` files. Both layers, their export schemas and
+//! the Perfetto workflow are documented in `docs/OBSERVABILITY.md` at
+//! the repository root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod journal;
 pub mod json;
 pub mod metrics;
 pub mod regress;
 pub mod snapshot;
 pub mod trace;
 
-pub use journal::{DropCause, Event, EventKind, Severity};
 pub use metrics::{Counter, Gauge, Histogram, Telemetry};
 pub use snapshot::{HistogramSnapshot, MetricValue, Snapshot};
 pub use trace::{

@@ -7,7 +7,7 @@
 //! arbitrary snapshots never produce the kind-conflict panic (which is
 //! a registration bug, covered by a unit test).
 
-use apor_telemetry::{Event, EventKind, HistogramSnapshot, MetricValue, Severity, Snapshot};
+use apor_telemetry::{HistogramSnapshot, MetricValue, Snapshot};
 use proptest::prelude::*;
 
 /// One arbitrary metric: node, name index, and a value whose kind is a
@@ -18,7 +18,6 @@ fn arb_metric() -> impl Strategy<Value = (u32, usize, u64)> {
 
 fn snapshot_from(metrics: &[(u32, usize, u64)]) -> Snapshot {
     let mut snap = Snapshot::default();
-    let mut staged: Snapshot = Snapshot::default();
     for &(node, name_idx, v) in metrics {
         let name = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"][name_idx];
         let value = match name_idx % 3 {
@@ -35,18 +34,9 @@ fn snapshot_from(metrics: &[(u32, usize, u64)]) -> Snapshot {
         };
         // Same-key repeats fold through merge (insert would overwrite,
         // which is not the additive semantics we are testing).
+        let mut staged = Snapshot::default();
         staged.insert(node, "prop", name, value);
-        // Each metric also contributes one journal event, so the monoid
-        // laws below cover the event union (sort + newest-cap) too.
-        staged.set_events(vec![Event {
-            #[allow(clippy::cast_precision_loss)]
-            t: v as f64 * 0.25,
-            severity: [Severity::Debug, Severity::Info, Severity::Warn][name_idx % 3],
-            node,
-            kind: EventKind::SyncSkip { peer: node },
-        }]);
         snap.merge(&staged);
-        staged = Snapshot::default();
     }
     snap
 }

@@ -1,8 +1,10 @@
 //! Computational-kernel benchmarks: the hot paths a deployment exercises
 //! every routing interval.
 
-use apor_bench::{bench_topology, full_table, ground_truth_row};
-use apor_linkstate::{LinkEntry, LinkStateMsg, LinkStateStore, LinkStateTable, Message};
+use apor_bench::{bench_topology, full_table, ground_truth_row, ground_truth_wire};
+use apor_linkstate::{
+    LinkEntry, LinkStateMsg, LinkStateStore, LinkStateTable, Message, SparseLinkStateMsg, WireEntry,
+};
 use apor_quorum::{Grid, NodeId};
 use apor_routing::multihop::multihop_routes;
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
@@ -87,9 +89,14 @@ fn bench_round_two(c: &mut Criterion) {
     g.finish();
 }
 
-/// Wire codec throughput for the dominant message type (link state).
+/// Wire codec throughput for the link-state frames, built from wire
+/// entries as the routers build them. `encode`/`decode` run the dense
+/// full-mesh frame (`n` entries); `encode_sparse`/`decode_sparse` run
+/// the sparse frame of an entitled row at the same width: `2⌈√n⌉ + 16`
+/// live entries spread across the row.
 fn bench_wire(c: &mut Criterion) {
     let mut g = c.benchmark_group("wire");
+    let wire = |i: usize| LinkEntry::live((i % 500) as u16, 0.01).encode();
     for n in [140usize, 400, 1000] {
         let msg = Message::LinkState(LinkStateMsg {
             from: NodeId(1),
@@ -97,9 +104,7 @@ fn bench_wire(c: &mut Criterion) {
             view: 1,
             round: 9,
             basis_ms: 12345,
-            entries: (0..n)
-                .map(|i| LinkEntry::live((i % 500) as u16, 0.01))
-                .collect(),
+            entries: (0..n).map(wire).collect(),
             seqno: 0,
             retractions: vec![],
         });
@@ -109,6 +114,32 @@ fn bench_wire(c: &mut Criterion) {
         });
         let bytes = msg.encode();
         g.bench_with_input(BenchmarkId::new("decode", n), &bytes, |b, bytes| {
+            b.iter(|| Message::decode(black_box(bytes)).unwrap());
+        });
+
+        let k = 2 * (n as f64).sqrt().ceil() as usize + 16;
+        let sparse = Message::LinkStateSparse(SparseLinkStateMsg {
+            from: NodeId(1),
+            to: NodeId(2),
+            view: 1,
+            round: 9,
+            basis_ms: 12345,
+            width: n as u16,
+            entries: (0..k)
+                .map(|j| {
+                    let dst = j * n / k;
+                    (dst as u16, wire(dst))
+                })
+                .collect(),
+            seqno: 0,
+            retractions: vec![],
+        });
+        g.throughput(Throughput::Bytes(sparse.wire_size() as u64));
+        g.bench_with_input(BenchmarkId::new("encode_sparse", n), &sparse, |b, msg| {
+            b.iter(|| black_box(msg.encode()));
+        });
+        let bytes = sparse.encode();
+        g.bench_with_input(BenchmarkId::new("decode_sparse", n), &bytes, |b, bytes| {
             b.iter(|| Message::decode(black_box(bytes)).unwrap());
         });
     }
@@ -145,8 +176,10 @@ fn bench_floyd_warshall(c: &mut Criterion) {
 
 /// Dense table vs sparse row store on a quorum node's actual working
 /// set: its own row plus its `2√n` rendezvous clients' rows. Three
-/// kernels: the row merge (one client's link-state message lands), the
-/// pair best-hop, and the full round-two server tick. The sparse store
+/// kernels: the row merge (one client's received dense link-state
+/// frame lands: its wire entries are copied into the table, or reduced
+/// to lanes for the row store), the pair best-hop, and the full
+/// round-two server tick. The sparse store
 /// pays an `O(log √n)` map walk per row access but allocates `O(n√n)`
 /// instead of `O(n²)` — at n = 1024 the dense arm is the only one that
 /// still touches a 24 MB table.
@@ -161,15 +194,15 @@ fn bench_dense_vs_sparse(c: &mut Criterion) {
         let mut held = grid.rendezvous_clients(me);
         held.push(me);
         held.sort_unstable();
-        let rows: Vec<(usize, Vec<LinkEntry>)> = held
+        let rows: Vec<(usize, Vec<WireEntry>)> = held
             .iter()
-            .map(|&i| (i, ground_truth_row(&topo, i)))
+            .map(|&i| (i, ground_truth_wire(&topo, i)))
             .collect();
         let mut dense = LinkStateTable::new(n);
         let mut sparse = RowStore::new(n);
         for (i, row) in &rows {
             dense.put_dense(*i, row, 0.0);
-            sparse.put_row(*i, LaneRow::from_dense(row), 0.0);
+            sparse.put_row(*i, LaneRow::from_wire(row), 0.0);
         }
         let (merge_origin, merge_row) = rows[rows.len() / 2].clone();
         g.bench_with_input(BenchmarkId::new("merge_dense", n), &n, |b, _| {
@@ -177,7 +210,7 @@ fn bench_dense_vs_sparse(c: &mut Criterion) {
         });
         g.bench_with_input(BenchmarkId::new("merge_sparse", n), &n, |b, _| {
             b.iter(|| {
-                let row = LaneRow::from_dense(black_box(&merge_row));
+                let row = LaneRow::from_wire(black_box(&merge_row));
                 sparse.put_row(black_box(merge_origin), row, 1.0)
             });
         });
@@ -272,7 +305,7 @@ fn bench_round_two_tick(c: &mut Criterion) {
                     view: 1,
                     round: 1,
                     basis_ms: 250,
-                    entries: row_of(c_idx),
+                    entries: row_of(c_idx).iter().map(LinkEntry::encode).collect(),
                     seqno: 0,
                     retractions: vec![],
                 });

@@ -11,7 +11,7 @@
 
 #![forbid(unsafe_code)]
 
-use apor_linkstate::{LinkEntry, LinkStateTable};
+use apor_linkstate::{LinkEntry, LinkStateTable, WireEntry};
 use apor_routing::onehop;
 use apor_topology::{PlanetLabParams, Topology};
 
@@ -32,6 +32,16 @@ pub fn ground_truth_row(topo: &Topology, i: usize) -> Vec<LinkEntry> {
     onehop::ground_truth_row(&topo.latency, i)
 }
 
+/// [`ground_truth_row`] in its 3-byte wire form: the body of the dense
+/// link-state frame node `i` would send.
+#[must_use]
+pub fn ground_truth_wire(topo: &Topology, i: usize) -> Vec<WireEntry> {
+    ground_truth_row(topo, i)
+        .iter()
+        .map(LinkEntry::encode)
+        .collect()
+}
+
 /// A fully populated link-state table derived from the topology's ground
 /// truth (all rows fresh at t = 0).
 #[must_use]
@@ -39,7 +49,7 @@ pub fn full_table(topo: &Topology) -> LinkStateTable {
     let n = topo.len();
     let mut table = LinkStateTable::new(n);
     for i in 0..n {
-        table.put_dense(i, &ground_truth_row(topo, i), 0.0);
+        table.put_dense(i, &ground_truth_wire(topo, i), 0.0);
     }
     table
 }

@@ -18,6 +18,43 @@ pub const INFINITE_COST: Cost = f64::INFINITY;
 /// `f64::INFINITY` in the floating-point domain exactly.
 pub const INFINITE_COST_U32: u32 = u32::MAX;
 
+/// One link-state entry in its 3-byte wire form ([`LinkEntry::encode`]):
+/// the big-endian latency in milliseconds, then the liveness byte (alive
+/// flag in bit 7, loss in half-percent units in bits 0–6). This is the
+/// row representation from the frame body to the store: link-state
+/// frames carry it verbatim, the dense table holds it, and
+/// [`LaneRow`](crate::store::LaneRow) lanes split it. Only the prober
+/// and the API read a decoded [`LinkEntry`].
+pub type WireEntry = [u8; 3];
+
+/// The wire form of [`LinkEntry::dead`]: the dead latency sentinel and
+/// a liveness byte with the alive bit clear and loss saturated.
+pub const DEAD_WIRE: WireEntry = [0xFF, 0xFF, 0x7F];
+
+/// Is the alive bit of a wire entry set?
+#[must_use]
+pub fn wire_alive(wire: WireEntry) -> bool {
+    wire[2] & 0x80 != 0
+}
+
+/// The big-endian latency field of a wire entry, verbatim.
+#[must_use]
+pub fn wire_latency(wire: WireEntry) -> u16 {
+    u16::from_be_bytes([wire[0], wire[1]])
+}
+
+/// The integer kernel's cost of a wire entry: its latency field when
+/// the alive bit is set, [`INFINITE_COST_U32`] otherwise — exactly
+/// `LinkEntry::decode(wire).cost_u32()`, without the decode.
+#[must_use]
+pub fn wire_cost_u32(wire: WireEntry) -> u32 {
+    if wire_alive(wire) {
+        u32::from(wire_latency(wire))
+    } else {
+        INFINITE_COST_U32
+    }
+}
+
 /// One entry of a link-state row: what the origin node currently believes
 /// about its direct link to one destination.
 ///
@@ -117,7 +154,7 @@ impl LinkEntry {
 
     /// Pack into the 3-byte wire form.
     #[must_use]
-    pub fn encode(&self) -> [u8; 3] {
+    pub fn encode(&self) -> WireEntry {
         let lat = if self.alive {
             self.latency_ms.min(Self::DEAD_LATENCY - 1)
         } else {
@@ -130,8 +167,8 @@ impl LinkEntry {
     /// Unpack from the 3-byte wire form (see
     /// [`LinkEntry::from_wire_parts`]).
     #[must_use]
-    pub fn decode(bytes: [u8; 3]) -> Self {
-        Self::from_wire_parts(u16::from_be_bytes([bytes[0], bytes[1]]), bytes[2])
+    pub fn decode(bytes: WireEntry) -> Self {
+        Self::from_wire_parts(wire_latency(bytes), bytes[2])
     }
 
     /// Quantize an RTT measured in (possibly fractional) milliseconds to
@@ -218,6 +255,28 @@ mod tests {
     #[test]
     fn wire_size_is_three_bytes() {
         assert_eq!(LinkEntry::live(1, 0.0).encode().len(), LinkEntry::WIRE_SIZE);
+    }
+
+    #[test]
+    fn dead_wire_is_the_dead_entry() {
+        assert_eq!(LinkEntry::dead().encode(), DEAD_WIRE);
+        assert_eq!(LinkEntry::decode(DEAD_WIRE), LinkEntry::dead());
+    }
+
+    /// The wire accessors agree with a full decode on every latency
+    /// edge, with junk latency/loss bytes under a clear alive bit.
+    #[test]
+    fn wire_accessors_match_decode() {
+        for lat in [0u16, 1, 0x1234, u16::MAX - 1, u16::MAX] {
+            for liveness in [0x00u8, 0x05, 0x7F, 0x80, 0x85, 0xFF] {
+                let [hi, lo] = lat.to_be_bytes();
+                let wire = [hi, lo, liveness];
+                let e = LinkEntry::decode(wire);
+                assert_eq!(wire_alive(wire), e.alive);
+                assert_eq!(wire_latency(wire), e.latency_ms);
+                assert_eq!(wire_cost_u32(wire), e.cost_u32());
+            }
+        }
     }
 
     #[test]

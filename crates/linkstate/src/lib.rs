@@ -57,7 +57,7 @@ pub mod store;
 pub mod table;
 pub mod wire;
 
-pub use entry::{Cost, LinkEntry, INFINITE_COST, INFINITE_COST_U32};
+pub use entry::{Cost, LinkEntry, WireEntry, DEAD_WIRE, INFINITE_COST, INFINITE_COST_U32};
 pub use estimator::{LinkEstimator, ProbeOutcome};
 pub use store::{
     best_one_hop_rows, seqno_newer, LaneRow, LinkStateStore, LiveEntries, PairHops, RowCursor,

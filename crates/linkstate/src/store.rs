@@ -29,10 +29,11 @@
 //!   so a protocol bug that re-grows `O(n)` rows fails loudly in tests
 //!   instead of silently reintroducing the quadratic table.
 //! * [`RowRef`] — a borrowed view of one row: the dense table's slice
-//!   or a [`LaneRow`]'s lanes. The round-two kernel is written once
-//!   over it (see [`best_one_hop_rows`]) and is **integer-only**: the
-//!   latency lanes are already integer milliseconds (the wire carries
-//!   nothing finer), so a path cost is a `u32` add of two `u16` legs
+//!   of 3-byte wire entries or a [`LaneRow`]'s lanes. The round-two
+//!   kernel is written once over it (see [`best_one_hop_rows`]) and is
+//!   **integer-only**: the latency lanes are already integer
+//!   milliseconds (the wire carries nothing finer), so a path cost is
+//!   a `u32` add of two `u16` legs
 //!   with `u32::MAX` as the infinite sentinel — bit-identical to the
 //!   historical `f64` computation, because every `u16` sum is exactly
 //!   representable in both domains. The kernel walks the *live* entries
@@ -41,7 +42,9 @@
 //!   cost and can never win, so skipping them is observationally
 //!   neutral); when both rows list the same destinations — the steady
 //!   state for a warm quorum server — it collapses to an elementwise
-//!   lane reduction the compiler vectorizes.
+//!   lane reduction the compiler vectorizes, and two dense wire rows
+//!   take the same kind of elementwise pass, with a dead leg costing a
+//!   sentinel above every two-leg sum.
 //! * [`LinkStateStore::best_hops_all_pairs`] — the round-two kernel a
 //!   rendezvous server actually runs: every ordered pair of its members
 //!   in one pass, inverted around the relay. A counting sort buckets
@@ -64,11 +67,14 @@
 //! the full-mesh baseline (which genuinely holds all `n` rows, each
 //! dense lookups `O(1)`) and as the reference implementation in tests.
 
-use crate::entry::{Cost, LinkEntry, INFINITE_COST, INFINITE_COST_U32};
+use crate::entry::{
+    wire_alive, wire_cost_u32, wire_latency, Cost, LinkEntry, WireEntry, INFINITE_COST,
+    INFINITE_COST_U32,
+};
 use apor_telemetry::{Counter, Gauge, Telemetry};
 use std::collections::BTreeMap;
 
-/// A borrowed view of one link-state row: dense or lanes.
+/// A borrowed view of one link-state row: dense wire entries or lanes.
 ///
 /// Lane rows (see [`LaneRow`]) are three parallel slices in wire
 /// quantization holding **live entries only**; destinations not listed
@@ -78,8 +84,9 @@ use std::collections::BTreeMap;
 /// instead of [`RowRef::get`].
 #[derive(Debug, Clone, Copy)]
 pub enum RowRef<'a> {
-    /// A full-width row — every destination has an explicit entry.
-    Dense(&'a [LinkEntry]),
+    /// A full-width row — every destination has an explicit entry, in
+    /// its 3-byte wire form, decoded only when read.
+    Dense(&'a [WireEntry]),
     /// Struct-of-arrays live entries over a row of `width` destinations.
     ///
     /// The three lanes are index-aligned and hold live entries only,
@@ -92,7 +99,7 @@ pub enum RowRef<'a> {
         width: usize,
         /// Destination lane, strictly ascending.
         dst: &'a [u16],
-        /// Latency lane (integer milliseconds, wire-clamped).
+        /// Latency lane (the wire's integer-millisecond latency field).
         latency_ms: &'a [u16],
         /// Liveness/loss lane (the exact wire byte).
         liveness_loss: &'a [u8],
@@ -116,7 +123,7 @@ impl<'a> RowRef<'a> {
     #[must_use]
     pub fn get(&self, dst: usize) -> LinkEntry {
         match self {
-            RowRef::Dense(r) => r[dst],
+            RowRef::Dense(r) => LinkEntry::decode(r[dst]),
             RowRef::Lanes {
                 width,
                 dst: dsts,
@@ -140,7 +147,7 @@ impl<'a> RowRef<'a> {
     #[must_use]
     pub fn cost_u32(&self, dst: usize) -> u32 {
         match self {
-            RowRef::Dense(r) => r[dst].cost_u32(),
+            RowRef::Dense(r) => wire_cost_u32(r[dst]),
             RowRef::Lanes {
                 width,
                 dst: dsts,
@@ -205,7 +212,7 @@ impl<'a> RowRef<'a> {
     #[must_use]
     pub fn to_dense(&self) -> Vec<LinkEntry> {
         match self {
-            RowRef::Dense(r) => r.to_vec(),
+            RowRef::Dense(r) => r.iter().map(|&w| LinkEntry::decode(w)).collect(),
             RowRef::Lanes { width, .. } => {
                 let mut out = vec![LinkEntry::dead(); *width];
                 for (dst, e) in self.iter_live() {
@@ -223,7 +230,7 @@ pub enum LiveEntries<'a> {
     /// Scanning a dense row, skipping dead entries.
     Dense {
         /// The row being scanned.
-        row: &'a [LinkEntry],
+        row: &'a [WireEntry],
         /// Next index to examine.
         next: usize,
     },
@@ -249,8 +256,8 @@ impl Iterator for LiveEntries<'_> {
                 while *next < row.len() {
                     let i = *next;
                     *next += 1;
-                    if row[i].alive {
-                        return Some((i, row[i]));
+                    if wire_alive(row[i]) {
+                        return Some((i, LinkEntry::decode(row[i])));
                     }
                 }
                 None
@@ -281,7 +288,7 @@ impl Iterator for LiveEntries<'_> {
 /// it never reconstructs a `LinkEntry` (no `f32` loss division on the
 /// hot path).
 enum LiveCosts<'a> {
-    Dense(std::iter::Enumerate<std::slice::Iter<'a, LinkEntry>>),
+    Dense(std::iter::Enumerate<std::slice::Iter<'a, WireEntry>>),
     Lanes {
         dst: &'a [u16],
         latency_ms: &'a [u16],
@@ -295,8 +302,8 @@ impl Iterator for LiveCosts<'_> {
     fn next(&mut self) -> Option<(usize, u32)> {
         match self {
             LiveCosts::Dense(entries) => entries
-                .find(|(_, e)| e.alive)
-                .map(|(i, e)| (i, u32::from(e.latency_ms))),
+                .find(|(_, &w)| wire_alive(w))
+                .map(|(i, &w)| (i, u32::from(wire_latency(w)))),
             LiveCosts::Lanes {
                 dst,
                 latency_ms,
@@ -363,7 +370,7 @@ impl RowCursor<'_> {
     /// Panics if `dst ≥ width()`.
     pub fn get(&mut self, dst: usize) -> LinkEntry {
         match self.row {
-            RowRef::Dense(r) => r[dst],
+            RowRef::Dense(r) => LinkEntry::decode(r[dst]),
             RowRef::Lanes {
                 width,
                 dst: dsts,
@@ -387,7 +394,7 @@ impl RowCursor<'_> {
     /// Panics if `dst ≥ width()`.
     pub fn cost_u32(&mut self, dst: usize) -> u32 {
         match self.row {
-            RowRef::Dense(r) => r[dst].cost_u32(),
+            RowRef::Dense(r) => wire_cost_u32(r[dst]),
             RowRef::Lanes {
                 width,
                 dst: dsts,
@@ -475,6 +482,82 @@ fn lanes_shared_best(
     None
 }
 
+/// Relay leg cost on the dense × dense fast path: the latency field,
+/// plus [`DEAD_LEG`] when the alive bit is clear. Branchless, so the
+/// reductions over two wire rows vectorize.
+#[inline]
+fn dense_leg(wire: WireEntry) -> u32 {
+    u32::from(wire_latency(wire)) + (u32::from(!wire[2] >> 7) << 17)
+}
+
+/// What a dead leg adds in [`dense_leg`]: any sum with a dead leg is at
+/// least this, above every sum of two live `u16` legs (≤ 131 070).
+const DEAD_LEG: u32 = 1 << 17;
+
+/// Best relay over two dense wire rows: the elementwise counterpart of
+/// the merge-join. Two passes over the rows with the `a`/`b` positions
+/// carved out — a min-reduction of the leg sums, then a first-index
+/// search for the winner — so among equal costs the lowest index wins,
+/// as in the merge-join. A minimum at or above [`DEAD_LEG`] means no
+/// relay has two live legs.
+fn dense_shared_best(
+    ra: &[WireEntry],
+    rb: &[WireEntry],
+    a: usize,
+    b: usize,
+) -> Option<(usize, u32)> {
+    let len = ra.len().min(rb.len());
+    let (ra, rb) = (&ra[..len], &rb[..len]);
+    let inside = |x: usize| (x < len).then_some(x);
+    let ranges = excluded_ranges(len, inside(a), inside(b));
+    let sums = |r: &std::ops::Range<usize>| {
+        ra[r.clone()]
+            .iter()
+            .zip(&rb[r.clone()])
+            .map(|(&x, &y)| dense_leg(x) + dense_leg(y))
+    };
+    let best = ranges
+        .iter()
+        .map(|r| sums(r).fold(u32::MAX, u32::min))
+        .min()
+        .unwrap_or(u32::MAX);
+    if best >= DEAD_LEG {
+        return None;
+    }
+    ranges
+        .iter()
+        .find_map(|r| sums(r).position(|c| c == best).map(|p| (r.start + p, best)))
+}
+
+/// Best relay over any two rows: an ascending merge-join of their live
+/// entries, skipping `a` and `b`. Only a strict improvement replaces
+/// the incumbent, so among equal costs the lowest index wins.
+fn merge_join_best(row_a: &RowRef, row_b: &RowRef, a: usize, b: usize) -> Option<(usize, u32)> {
+    let mut it_a = row_a.iter_costs();
+    let mut it_b = row_b.iter_costs();
+    let (mut cur_a, mut cur_b) = (it_a.next(), it_b.next());
+    let mut best: Option<(usize, u32)> = None;
+    while let (Some((ha, ca)), Some((hb, cb))) = (cur_a, cur_b) {
+        match ha.cmp(&hb) {
+            std::cmp::Ordering::Less => cur_a = it_a.next(),
+            std::cmp::Ordering::Greater => cur_b = it_b.next(),
+            std::cmp::Ordering::Equal => {
+                if ha != a && ha != b {
+                    // Both legs live: the sum of two u16s cannot reach
+                    // the u32 sentinel.
+                    let c = ca + cb;
+                    if best.is_none_or(|(_, bc)| c < bc) {
+                        best = Some((ha, c));
+                    }
+                }
+                cur_a = it_a.next();
+                cur_b = it_b.next();
+            }
+        }
+    }
+    best
+}
+
 /// **The round-two kernel**, integer-only, written once over borrowed
 /// rows: the best one-hop path `a → h → b` computable from row `a` and
 /// row `b` (`h == b` means the direct link), as a `(hop, cost)` pair in
@@ -493,7 +576,8 @@ fn lanes_shared_best(
 /// Two lane rows listing the same destinations — the steady state for
 /// a warm quorum server whose clients probe the same target set — take
 /// an elementwise fast path over the latency lanes instead of the
-/// merge-join; the result is identical.
+/// merge-join, and two dense wire rows (the full-mesh table) an
+/// elementwise pass over both rows; the result is identical.
 ///
 /// Freshness is the caller's concern: [`LinkStateStore::best_one_hop`]
 /// applies the staleness rule and delegates here.
@@ -520,31 +604,8 @@ pub fn best_one_hop_rows(
                 ..
             },
         ) if da == db => lanes_shared_best(da, la, lb, a, b),
-        _ => {
-            let mut it_a = row_a.iter_costs();
-            let mut it_b = row_b.iter_costs();
-            let (mut cur_a, mut cur_b) = (it_a.next(), it_b.next());
-            let mut best: Option<(usize, u32)> = None;
-            while let (Some((ha, ca)), Some((hb, cb))) = (cur_a, cur_b) {
-                match ha.cmp(&hb) {
-                    std::cmp::Ordering::Less => cur_a = it_a.next(),
-                    std::cmp::Ordering::Greater => cur_b = it_b.next(),
-                    std::cmp::Ordering::Equal => {
-                        if ha != a && ha != b {
-                            // Both legs live: the sum of two u16s cannot
-                            // reach the u32 sentinel.
-                            let c = ca + cb;
-                            if best.is_none_or(|(_, bc)| c < bc) {
-                                best = Some((ha, c));
-                            }
-                        }
-                        cur_a = it_a.next();
-                        cur_b = it_b.next();
-                    }
-                }
-            }
-            best
-        }
+        (RowRef::Dense(ra), RowRef::Dense(rb)) => dense_shared_best(ra, rb, a, b),
+        _ => merge_join_best(row_a, row_b, a, b),
     };
     if let Some((h, c)) = relay {
         if c < best_cost {
@@ -594,12 +655,13 @@ impl PairHops {
 
 /// One owned link-state row in struct-of-arrays form: three parallel
 /// lanes holding the **live** entries only, strictly ascending by
-/// destination, in the exact wire quantization — `latency_ms` is the
-/// wire's integer-millisecond latency (clamped below the dead
-/// sentinel, as [`LinkEntry::encode`] would emit it) and
-/// `liveness_loss` the wire's liveness byte. A row that arrived from
-/// the wire therefore round-trips bit-identically: re-encoding the
-/// lanes reproduces the frame bytes.
+/// destination, in the exact wire form — `latency_ms` is the wire's
+/// big-endian latency field and `liveness_loss` the wire's liveness
+/// byte, both taken verbatim from a received frame
+/// ([`LaneRow::from_wire`], [`LaneRow::from_wire_pairs`]) or from
+/// [`LinkEntry::encode`] for a prober's row ([`LaneRow::from_dense`]).
+/// A row that arrived from the wire therefore round-trips
+/// bit-identically: re-encoding the lanes reproduces the frame bytes.
 ///
 /// ~5 bytes per entry ([`LaneRow::ENTRY_BYTES`]) versus 12 for the
 /// array-of-structs `(u16, LinkEntry)` layout this replaces, and the
@@ -635,33 +697,54 @@ impl LaneRow {
     /// (liveness/loss).
     pub const ENTRY_BYTES: usize = 5;
 
-    /// Reduce a dense row to its live entries.
+    /// Reduce a decoded dense row to its live entries, wire-quantized —
+    /// how a prober's row enters the lanes.
     #[must_use]
     pub fn from_dense(entries: &[LinkEntry]) -> Self {
-        Self::collect(
+        Self::from_live_wire(
             entries
                 .iter()
                 .enumerate()
                 .filter(|(_, e)| e.alive)
-                .map(|(d, &e)| (d as u16, e)),
+                .map(|(d, e)| (d as u16, e.encode())),
         )
     }
 
-    /// Reduce `(dst, entry)` pairs (strictly ascending by `dst`) to
-    /// their live entries.
+    /// Reduce a dense row of wire entries — a dense frame's body — to
+    /// the entries whose alive bit is set, keeping their bytes verbatim.
     #[must_use]
-    pub fn from_pairs(pairs: &[(u16, LinkEntry)]) -> Self {
-        debug_assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0));
-        Self::collect(pairs.iter().filter(|(_, e)| e.alive).copied())
+    pub fn from_wire(entries: &[WireEntry]) -> Self {
+        Self::from_live_wire(
+            entries
+                .iter()
+                .enumerate()
+                .filter(|&(_, &w)| wire_alive(w))
+                .map(|(d, &w)| (d as u16, w)),
+        )
     }
 
-    fn collect(live: impl Iterator<Item = (u16, LinkEntry)>) -> Self {
-        let (mut dst, mut latency_ms, mut liveness_loss) = (Vec::new(), Vec::new(), Vec::new());
-        for (d, e) in live {
-            let wire = e.encode();
+    /// Reduce `(dst, wire entry)` pairs (strictly ascending by `dst`) —
+    /// a sparse frame's body — to the entries whose alive bit is set,
+    /// keeping their bytes verbatim.
+    #[must_use]
+    pub fn from_wire_pairs(pairs: &[(u16, WireEntry)]) -> Self {
+        debug_assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0));
+        Self::from_live_wire(pairs.iter().copied().filter(|&(_, w)| wire_alive(w)))
+    }
+
+    /// Split live wire entries into the three lanes, each allocated at
+    /// its exact length (one counting pass first).
+    fn from_live_wire(live: impl Iterator<Item = (u16, WireEntry)> + Clone) -> Self {
+        let k = live.clone().count();
+        let (mut dst, mut latency_ms, mut liveness_loss) = (
+            Vec::with_capacity(k),
+            Vec::with_capacity(k),
+            Vec::with_capacity(k),
+        );
+        for (d, w) in live {
             dst.push(d);
-            latency_ms.push(u16::from_be_bytes([wire[0], wire[1]]));
-            liveness_loss.push(wire[2]);
+            latency_ms.push(wire_latency(w));
+            liveness_loss.push(w[2]);
         }
         LaneRow {
             dst: dst.into_boxed_slice(),
@@ -670,6 +753,18 @@ impl LaneRow {
             seqno: 0,
             retracted: Box::default(),
         }
+    }
+
+    /// The live entries as `(dst, wire entry)`, ascending by `dst`.
+    pub(crate) fn iter_wire(&self) -> impl Iterator<Item = (u16, WireEntry)> + '_ {
+        self.dst
+            .iter()
+            .zip(&self.latency_ms)
+            .zip(&self.liveness_loss)
+            .map(|((&d, &lat), &liveness)| {
+                let [hi, lo] = lat.to_be_bytes();
+                (d, [hi, lo, liveness])
+            })
     }
 
     /// Stamp the row with the origin's seqno and retraction lane
@@ -840,13 +935,8 @@ pub trait LinkStateStore {
 
     /// Row `origin` as an owned [`LaneRow`] with its seqno and
     /// retraction lane, when present — what a router exports across a
-    /// view change. The default rebuilds the lanes from
-    /// [`row_ref`](LinkStateStore::row_ref), unversioned.
-    fn lane_row(&self, origin: usize) -> Option<LaneRow> {
-        #[allow(clippy::cast_possible_truncation)]
-        self.row_ref(origin)
-            .map(|r| LaneRow::collect(r.iter_live().map(|(d, e)| (d as u16, e))))
-    }
+    /// view change.
+    fn lane_row(&self, origin: usize) -> Option<LaneRow>;
 
     /// Update a single entry of a row (used for the node's own row,
     /// which its probers refresh incrementally). Creates the row (all
@@ -1093,7 +1183,7 @@ pub trait LinkStateStore {
             if leg1 == INFINITE_COST_U32 {
                 continue;
             }
-            let leg2 = self.entry(h, b).cost_u32();
+            let leg2 = self.row_ref(h).map_or(INFINITE_COST_U32, |r| r.cost_u32(b));
             if leg2 == INFINITE_COST_U32 {
                 continue;
             }
@@ -1463,11 +1553,7 @@ impl LinkStateStore for RowStore {
             slot.received_at = now;
             self.note_merge();
         } else {
-            let lanes = if entry.alive {
-                LaneRow::from_pairs(&[(dst as u16, entry)])
-            } else {
-                LaneRow::default()
-            };
+            let lanes = LaneRow::from_wire_pairs(&[(dst as u16, entry.encode())]);
             self.store_row(origin, lanes, now);
         }
     }
@@ -1512,6 +1598,13 @@ mod tests {
     /// A dense row as the unversioned lane row `put_row` takes.
     fn lanes(row: &[LinkEntry]) -> LaneRow {
         LaneRow::from_dense(row)
+    }
+
+    /// `(dst, entry)` pairs as the lane row a sparse frame carrying
+    /// their wire forms yields.
+    fn pair_lanes(pairs: &[(u16, LinkEntry)]) -> LaneRow {
+        let wire: Vec<(u16, WireEntry)> = pairs.iter().map(|&(d, e)| (d, e.encode())).collect();
+        LaneRow::from_wire_pairs(&wire)
     }
 
     /// The 4-node detour world used by the table tests, loaded into both
@@ -1604,7 +1697,7 @@ mod tests {
         let mut t = RowStore::new(100);
         t.put_row(
             7,
-            LaneRow::from_pairs(&[
+            pair_lanes(&[
                 (3, LinkEntry::live(10, 0.0)),
                 (64, LinkEntry::live(20, 0.01)),
             ]),
@@ -1667,8 +1760,8 @@ mod tests {
             ),
         ];
         for (origin, entries) in &rows {
-            dense.put_row(*origin, LaneRow::from_pairs(entries), 1.0);
-            sparse.put_row(*origin, LaneRow::from_pairs(entries), 1.0);
+            dense.put_row(*origin, pair_lanes(entries), 1.0);
+            sparse.put_row(*origin, pair_lanes(entries), 1.0);
         }
         let d = dense.best_one_hop(0, 9, 2.0, 45.0);
         assert_eq!(d, sparse.best_one_hop(0, 9, 2.0, 45.0));
@@ -1764,8 +1857,7 @@ mod tests {
             GAUGES.map(|name| snap.gauge(5, "linkstate", name))
         };
         assert_eq!(gauges(), [Some(0); 3]);
-        let row =
-            LaneRow::from_pairs(&[(0, LinkEntry::live(5, 0.0)), (3, LinkEntry::live(9, 0.0))]);
+        let row = pair_lanes(&[(0, LinkEntry::live(5, 0.0)), (3, LinkEntry::live(9, 0.0))]);
         s.put_row(2, row, 1.0);
         let held: usize = s
             .present_rows()
@@ -1856,7 +1948,7 @@ mod tests {
     /// unmapped destinations, re-sorts, and keeps seqno and wire bytes.
     #[test]
     fn relabel_moves_both_lanes() {
-        let row = LaneRow::from_pairs(&[
+        let row = pair_lanes(&[
             (0, LinkEntry::live(5, 0.0)),
             (2, LinkEntry::live(7, 0.02)),
             (3, LinkEntry::live(9, 0.0)),
@@ -1866,7 +1958,7 @@ mod tests {
         let moved = row.relabel(|d| [Some(2), Some(0), None, Some(1)][usize::from(d)]);
         assert_eq!(
             moved,
-            LaneRow::from_pairs(&[(1, LinkEntry::live(9, 0.0)), (2, LinkEntry::live(5, 0.0))])
+            pair_lanes(&[(1, LinkEntry::live(9, 0.0)), (2, LinkEntry::live(5, 0.0))])
                 .with_version(41, &[0, 1])
         );
     }
@@ -1882,7 +1974,8 @@ mod tests {
             row[d] = LinkEntry::live(10 * d as u16, 0.01);
         }
         let lanes = LaneRow::from_dense(&row);
-        let views = [RowRef::Dense(&row), lanes.as_row_ref(n)];
+        let wire: Vec<WireEntry> = row.iter().map(LinkEntry::encode).collect();
+        let views = [RowRef::Dense(&wire), lanes.as_row_ref(n)];
         let probes = [0usize, 1, 4, 4, 9, 11, 2, 5, 10, 0, 11, 3];
         for view in views {
             let mut cur = view.cursor();
@@ -1917,6 +2010,72 @@ mod tests {
         assert_eq!(view.get(0), LinkEntry::decode(row[0].encode()));
         assert_eq!(view.get(0).latency_ms, u16::MAX - 1);
         assert_eq!(view.get(1), LinkEntry::dead());
+        // The wire ingest paths take the encoded bytes verbatim, so they
+        // agree with the prober path — and keep a live 0xFFFF latency,
+        // which no encoder emits, as received.
+        let wire: Vec<WireEntry> = row.iter().map(LinkEntry::encode).collect();
+        assert_eq!(LaneRow::from_wire(&wire), lanes);
+        let pairs = [(0, wire[0]), (1, wire[1]), (2, wire[2])];
+        assert_eq!(LaneRow::from_wire_pairs(&pairs), lanes);
+        let raw = LaneRow::from_wire(&[[0xFF, 0xFF, 0x80], [0x12, 0x34, 0x05]]);
+        assert_eq!(
+            raw.iter_wire().collect::<Vec<_>>(),
+            vec![(0, [0xFF, 0xFF, 0x80])]
+        );
+        assert_eq!(raw.as_row_ref(2).cost_u32(0), 65_535);
+    }
+
+    /// The dense × dense fast path picks the merge-join's relay on
+    /// random wire rows: narrow latency bands for ties, dead entries
+    /// with junk latency/loss bytes, live 65535-ms legs, and live
+    /// entries at the excluded `a`/`b` positions.
+    #[test]
+    fn dense_fast_path_matches_merge_join() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for case in 0..2000 {
+            let n = 1 + next(40) as usize;
+            let dead_pct = [0, 30, 90, 100][case % 4];
+            let mut row = || -> Vec<WireEntry> {
+                (0..n)
+                    .map(|_| {
+                        let lat = match next(4) {
+                            0 => 1 + next(3) as u16,
+                            1 => u16::MAX,
+                            _ => next(2000) as u16,
+                        };
+                        let [hi, lo] = lat.to_be_bytes();
+                        let junk = next(128) as u8;
+                        if next(100) < dead_pct {
+                            [next(256) as u8, next(256) as u8, junk]
+                        } else {
+                            [hi, lo, 0x80 | junk]
+                        }
+                    })
+                    .collect()
+            };
+            let (ra, rb) = (row(), row());
+            let (a, b) = (next(n as u64 + 1) as usize, next(n as u64 + 1) as usize);
+            let (va, vb) = (RowRef::Dense(&ra), RowRef::Dense(&rb));
+            assert_eq!(
+                dense_shared_best(&ra, &rb, a, b),
+                merge_join_best(&va, &vb, a, b),
+                "case {case}: n={n} a={a} b={b}"
+            );
+            if a < n && b < n {
+                let (la, lb) = (LaneRow::from_wire(&ra), LaneRow::from_wire(&rb));
+                assert_eq!(
+                    best_one_hop_rows(&va, &vb, a, b),
+                    best_one_hop_rows(&la.as_row_ref(n), &lb.as_row_ref(n), a, b),
+                    "case {case}: dense vs lanes"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1939,7 +2098,7 @@ mod tests {
         // Same seqno refreshes (periodic re-announcement), newer advances.
         assert!(s.put_row(0, versioned(&[0, 11, 20, 30], 5), 2.0));
         assert_eq!(s.row_time(0), Some(2.0));
-        let retracting = LaneRow::from_pairs(&[(1, LinkEntry::live(9, 0.0))]).with_version(6, &[2]);
+        let retracting = pair_lanes(&[(1, LinkEntry::live(9, 0.0))]).with_version(6, &[2]);
         assert!(s.put_row(0, retracting.clone(), 3.0));
         assert_eq!(
             s.lane_row(0),

@@ -5,21 +5,37 @@
 //! [`RowStore`](crate::store::RowStore) instead. All route computation
 //! lives in the [`LinkStateStore`] trait, written once over both.
 //!
+//! Layout: the table holds `n²` entries in their 3-byte wire form
+//! ([`WireEntry`]), exactly the bytes a dense link-state frame carries,
+//! so ingesting a received row — [`LinkStateTable::put_dense`] — is a
+//! length check plus one slice copy, with no per-entry decode. Reads
+//! decode on demand: [`RowRef::get`] rebuilds a [`LinkEntry`], and the
+//! integer kernel reads only the alive bit and the big-endian latency.
+//! At `n = 400` the matrix is 480 kB per node instead of the 1.28 MB
+//! that 8-byte `LinkEntry` structs took.
+//!
 //! Why full mesh stays dense: every full-mesh frame is a dense `n`-entry
-//! row, and [`LinkStateTable::put_dense`] ingests it with one slice copy.
-//! Running the full-mesh router over `RowStore` instead was measured on
-//! the `fullmesh-400` system benchmark (seed 1, three alternating runs
-//! on a 2-core Intel Xeon VM): outputs were bit-identical and peak RSS
-//! fell from 557 to 486 MB, but wall time rose from 5.1/8.0/7.6 s to
-//! 18.2/20.5/18.9 s and the traced link-state ingest p50 from 4.2 µs to
-//! 42 µs: every dense frame was re-encoded into freshly allocated lanes
-//! instead of copied.
+//! row, and `put_dense` ingests it with one slice copy. Running the
+//! full-mesh router over `RowStore` instead was measured on the
+//! `fullmesh-400` system benchmark (seed 1, three alternating runs on a
+//! 2-core Intel Xeon VM, with the table still holding `LinkEntry`
+//! structs): outputs were bit-identical and peak RSS fell from 557 to
+//! 486 MB, but wall time rose from 5.1/8.0/7.6 s to 18.2/20.5/18.9 s
+//! and the traced link-state ingest p50 from 4.2 µs to 42 µs: every
+//! dense frame was re-encoded into freshly allocated lanes instead of
+//! copied. Keeping the wire bytes then took the frame decode out of
+//! ingest as well. On the same benchmark (seeds 1 and 2, ten
+//! alternating runs against the `LinkEntry` table on a 2-vCPU Intel
+//! Xeon VM) the median `wall_s` fell from 3.88 to 2.57 s, `setup_s`
+//! from 3.71 to 2.55 s and peak RSS from 550 to 245 MB, with every
+//! simulated output bit-identical.
 
-use crate::entry::LinkEntry;
+use crate::entry::{LinkEntry, WireEntry, DEAD_WIRE};
 use crate::store::{LaneRow, LinkStateStore, RowRef};
 use serde::{Deserialize, Serialize};
 
-/// A node's dense view of the full `n × n` link-state matrix.
+/// A node's dense view of the full `n × n` link-state matrix, one
+/// 3-byte [`WireEntry`] per link.
 ///
 /// Row `i` holds node `i`'s own measurements of its direct links. A node
 /// populates its own row from its probers and the other rows from the
@@ -35,7 +51,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LinkStateTable {
     n: usize,
-    entries: Vec<LinkEntry>,
+    entries: Vec<WireEntry>,
     /// Receipt time (seconds) of each row; `None` = never received.
     row_time: Vec<Option<f64>>,
 }
@@ -46,22 +62,32 @@ impl LinkStateTable {
     pub fn new(n: usize) -> Self {
         LinkStateTable {
             n,
-            entries: vec![LinkEntry::dead(); n * n],
+            entries: vec![DEAD_WIRE; n * n],
             row_time: vec![None; n],
         }
     }
 
-    /// Replace row `origin` with a full-width row by slice copy,
-    /// stamped at `now` — the full-mesh ingest path for dense frames
-    /// and the node's own row. Unversioned, like every table row.
+    /// Replace row `origin` with a full-width row of wire entries by
+    /// slice copy, stamped at `now` — the full-mesh ingest path for a
+    /// dense frame's entries and for the node's own encoded row.
+    /// Unversioned, like every table row.
     ///
     /// # Panics
     /// Panics if `origin ≥ n` or `entries.len() != n`.
-    pub fn put_dense(&mut self, origin: usize, entries: &[LinkEntry], now: f64) {
+    pub fn put_dense(&mut self, origin: usize, entries: &[WireEntry], now: f64) {
         assert!(origin < self.n, "row {origin} out of range");
         assert_eq!(entries.len(), self.n, "row must have n entries");
-        self.entries[origin * self.n..(origin + 1) * self.n].copy_from_slice(entries);
+        self.row_mut(origin).copy_from_slice(entries);
         self.row_time[origin] = Some(now);
+    }
+
+    /// Row `origin`'s wire entries, whether received or not.
+    fn row(&self, origin: usize) -> &[WireEntry] {
+        &self.entries[origin * self.n..(origin + 1) * self.n]
+    }
+
+    fn row_mut(&mut self, origin: usize) -> &mut [WireEntry] {
+        &mut self.entries[origin * self.n..(origin + 1) * self.n]
     }
 }
 
@@ -75,10 +101,10 @@ impl LinkStateStore for LinkStateTable {
     fn put_row(&mut self, origin: usize, row: LaneRow, now: f64) -> bool {
         assert!(origin < self.n, "row {origin} out of range");
         assert!(row.fits(self.n), "row destination out of range");
-        let dense = &mut self.entries[origin * self.n..(origin + 1) * self.n];
-        dense.fill(LinkEntry::dead());
-        for (dst, e) in row.as_row_ref(self.n).iter_live() {
-            dense[dst] = e;
+        let dense = self.row_mut(origin);
+        dense.fill(DEAD_WIRE);
+        for (dst, wire) in row.iter_wire() {
+            dense[usize::from(dst)] = wire;
         }
         self.row_time[origin] = Some(now);
         true
@@ -86,22 +112,24 @@ impl LinkStateStore for LinkStateTable {
 
     fn update_entry(&mut self, origin: usize, dst: usize, entry: LinkEntry, now: f64) {
         assert!(origin < self.n && dst < self.n);
-        self.entries[origin * self.n + dst] = entry;
+        self.entries[origin * self.n + dst] = entry.encode();
         self.row_time[origin] = Some(now);
     }
 
     fn clear_row(&mut self, origin: usize) {
-        for e in &mut self.entries[origin * self.n..(origin + 1) * self.n] {
-            *e = LinkEntry::dead();
-        }
+        self.row_mut(origin).fill(DEAD_WIRE);
         self.row_time[origin] = None;
+    }
+
+    /// The row's live wire entries as lanes, unversioned.
+    fn lane_row(&self, origin: usize) -> Option<LaneRow> {
+        self.row_time[origin]?;
+        Some(LaneRow::from_wire(self.row(origin)))
     }
 
     fn row_ref(&self, origin: usize) -> Option<RowRef<'_>> {
         self.row_time[origin]?;
-        Some(RowRef::Dense(
-            &self.entries[origin * self.n..(origin + 1) * self.n],
-        ))
+        Some(RowRef::Dense(self.row(origin)))
     }
 
     fn row_time(&self, origin: usize) -> Option<f64> {
@@ -128,8 +156,11 @@ impl LinkStateStore for LinkStateTable {
 mod tests {
     use super::*;
 
-    fn live_row(costs: &[u16]) -> Vec<LinkEntry> {
-        costs.iter().map(|&c| LinkEntry::live(c, 0.0)).collect()
+    fn live_row(costs: &[u16]) -> Vec<WireEntry> {
+        costs
+            .iter()
+            .map(|&c| LinkEntry::live(c, 0.0).encode())
+            .collect()
     }
 
     /// A 4-node world where 0→3 direct is 500 ms but 0→1→3 is 150 ms.
@@ -144,7 +175,7 @@ mod tests {
         .iter()
         .enumerate()
         {
-            assert!(t.put_row(i, LaneRow::from_dense(&live_row(costs)), 10.0));
+            assert!(t.put_row(i, LaneRow::from_wire(&live_row(costs)), 10.0));
         }
         t
     }
@@ -207,16 +238,8 @@ mod tests {
     #[test]
     fn all_dead_returns_none() {
         let mut t = LinkStateTable::new(3);
-        t.put_dense(
-            0,
-            &[LinkEntry::dead(), LinkEntry::dead(), LinkEntry::dead()],
-            0.0,
-        );
-        t.put_dense(
-            2,
-            &[LinkEntry::dead(), LinkEntry::dead(), LinkEntry::dead()],
-            0.0,
-        );
+        t.put_dense(0, &[DEAD_WIRE; 3], 0.0);
+        t.put_dense(2, &[DEAD_WIRE; 3], 0.0);
         assert!(t.best_one_hop(0, 2, 0.0, 45.0).is_none());
     }
 
@@ -247,7 +270,7 @@ mod tests {
         assert!(!t.anyone_reaches(2, 100.0, 45.0));
         // A dead entry doesn't count.
         let mut dead_row = live_row(&[10, 0, 10]);
-        dead_row[2] = LinkEntry::dead();
+        dead_row[2] = DEAD_WIRE;
         t.put_dense(1, &dead_row, 200.0);
         assert!(!t.anyone_reaches(2, 201.0, 45.0));
     }
@@ -278,6 +301,24 @@ mod tests {
         assert!(!t.row_fresh(0, 5.1, 2.0));
     }
 
+    /// The table keeps wire entries, so a single-entry write reads back
+    /// wire-quantized — latency clamped below the dead sentinel, loss
+    /// in half-percent steps — exactly as the row store holds it.
+    #[test]
+    fn update_entry_reads_back_wire_quantized() {
+        let entry = LinkEntry::live(u16::MAX, 0.123);
+        let mut t = LinkStateTable::new(3);
+        let mut s = crate::store::RowStore::new(3);
+        t.update_entry(0, 2, entry, 1.0);
+        s.update_entry(0, 2, entry, 1.0);
+        let got = t.entry(0, 2);
+        assert_eq!(got, LinkEntry::decode(entry.encode()));
+        assert_eq!(got.latency_ms, u16::MAX - 1);
+        assert_eq!(got.loss, 0.125);
+        assert_eq!(got, s.entry(0, 2));
+        assert_eq!(t.lane_row(0), s.lane_row(0));
+    }
+
     #[test]
     fn state_accounting_is_dense() {
         let mut t = LinkStateTable::new(5);
@@ -294,14 +335,16 @@ mod tests {
     #[test]
     fn put_row_matches_put_dense() {
         let mut row = live_row(&[0, 7, 9, 11]);
-        row[2] = LinkEntry::dead();
+        row[2] = DEAD_WIRE;
         let mut lanes = LinkStateTable::new(4);
         lanes.put_dense(1, &live_row(&[1, 1, 1, 1]), 0.0);
-        assert!(lanes.put_row(1, LaneRow::from_dense(&row).with_version(3, &[2]), 5.0));
+        assert!(lanes.put_row(1, LaneRow::from_wire(&row).with_version(3, &[2]), 5.0));
         let mut dense = LinkStateTable::new(4);
         dense.put_dense(1, &row, 5.0);
-        assert_eq!(lanes.row_ref(1).unwrap().to_dense(), row);
-        assert_eq!(dense.row_ref(1).unwrap().to_dense(), row);
+        let decoded: Vec<LinkEntry> = row.iter().map(|&w| LinkEntry::decode(w)).collect();
+        assert_eq!(lanes.row_ref(1).unwrap().to_dense(), decoded);
+        assert_eq!(dense.row_ref(1).unwrap().to_dense(), decoded);
+        assert_eq!(lanes.lane_row(1), dense.lane_row(1));
         assert_eq!(lanes.row_time(1), Some(5.0));
         assert_eq!(lanes.row_seqno(1), 0);
         assert!(!lanes.row_retracts(1, 2));
@@ -328,6 +371,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "destination out of range")]
     fn put_row_destination_checked() {
-        LinkStateTable::new(2).put_row(0, LaneRow::from_dense(&live_row(&[0, 1, 2])), 0.0);
+        LinkStateTable::new(2).put_row(0, LaneRow::from_wire(&live_row(&[0, 1, 2])), 0.0);
     }
 }

@@ -19,7 +19,7 @@
 //! path. Membership-service messages (join/leave/view) share the same
 //! envelope but are rare, so their size is not calibrated.
 
-use crate::entry::LinkEntry;
+use crate::entry::{LinkEntry, WireEntry};
 use apor_quorum::NodeId;
 use apor_telemetry::trace::{TraceCtx, TRACE_CTX_SIZE};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -245,7 +245,7 @@ pub struct ProbeBatchMsg {
 
 /// A round-one link-state message: the origin's full measured row.
 /// `21 + 3·n` bytes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LinkStateMsg {
     /// Origin (the measuring node).
     pub from: NodeId,
@@ -258,8 +258,10 @@ pub struct LinkStateMsg {
     pub round: u32,
     /// Origin clock (ms) when the row was snapshotted.
     pub basis_ms: u32,
-    /// One entry per grid index (length = view size).
-    pub entries: Vec<LinkEntry>,
+    /// One wire entry per grid index (length = view size), verbatim:
+    /// encoding writes these bytes and decoding copies them back, so no
+    /// [`LinkEntry`] is built on either side.
+    pub entries: Vec<WireEntry>,
     /// Origin's row sequence number ([`LS_FLAG_SEQNO`] trailer). Zero
     /// means unversioned (the legacy flagless form); a versioned origin
     /// bumps it on retraction events so stale row replays can never
@@ -278,7 +280,7 @@ pub struct LinkStateMsg {
 /// sparse form beats the dense `21 + 3·n` encoding whenever
 /// `k < (3·n − 2) / 5`. Semantically identical to a dense row whose
 /// unlisted entries are dead.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SparseLinkStateMsg {
     /// Origin (the measuring node).
     pub from: NodeId,
@@ -292,8 +294,9 @@ pub struct SparseLinkStateMsg {
     pub basis_ms: u32,
     /// Row width (the view size `n`); every `dst` below is `< width`.
     pub width: u16,
-    /// The live entries, ascending by destination index.
-    pub entries: Vec<(u16, LinkEntry)>,
+    /// The live entries as `(dst, wire entry)`, ascending by
+    /// destination index; the wire bytes travel verbatim.
+    pub entries: Vec<(u16, WireEntry)>,
     /// Origin's row sequence number ([`LS_FLAG_SEQNO`] trailer); zero
     /// means unversioned (legacy flagless form).
     pub seqno: u16,
@@ -496,9 +499,9 @@ impl Message {
                 b.put_u16(m.width);
                 let versioned = ls_trailer_size(m.seqno, &m.retractions) != 0;
                 b.put_u16(if versioned { LS_FLAG_SEQNO } else { 0 });
-                for &(dst, e) in &m.entries {
-                    b.put_u16(dst);
-                    b.put_slice(&e.encode());
+                for (dst, wire) in &m.entries {
+                    b.put_u16(*dst);
+                    b.put_slice(wire);
                 }
                 if versioned {
                     put_ls_trailer(&mut b, m.seqno, &m.retractions);
@@ -514,9 +517,7 @@ impl Message {
                 b.put_u32(m.basis_ms);
                 let versioned = ls_trailer_size(m.seqno, &m.retractions) != 0;
                 b.put_u16(if versioned { LS_FLAG_SEQNO } else { 0 });
-                for e in &m.entries {
-                    b.put_slice(&e.encode());
-                }
+                b.put_slice(m.entries.as_flattened());
                 if versioned {
                     put_ls_trailer(&mut b, m.seqno, &m.retractions);
                 }
@@ -733,17 +734,17 @@ impl Message {
                 }
                 let mut entries = Vec::with_capacity(count);
                 let mut prev: Option<u16> = None;
-                for _ in 0..count {
-                    let dst = b.get_u16();
+                for c in b[..body].chunks_exact(2 + LinkEntry::WIRE_SIZE) {
+                    let dst = u16::from_be_bytes([c[0], c[1]]);
                     // Entries must be strictly ascending and in range —
                     // the sparse-row merge kernel relies on it.
                     if dst >= width || prev.is_some_and(|p| dst <= p) {
                         return Err(WireError::BadLength);
                     }
                     prev = Some(dst);
-                    let raw = [b.get_u8(), b.get_u8(), b.get_u8()];
-                    entries.push((dst, LinkEntry::decode(raw)));
+                    entries.push((dst, [c[2], c[3], c[4]]));
                 }
+                b.advance(body);
                 let (seqno, retractions) = if versioned {
                     get_ls_trailer(&mut b, width)?
                 } else {
@@ -779,11 +780,10 @@ impl Message {
                 } else if b.remaining() != body {
                     return Err(WireError::BadLength);
                 }
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let raw = [b.get_u8(), b.get_u8(), b.get_u8()];
-                    entries.push(LinkEntry::decode(raw));
-                }
+                // The body is the entries verbatim: one copy, no decode.
+                let mut entries: Vec<WireEntry> = vec![[0; 3]; count];
+                entries.as_flattened_mut().copy_from_slice(&b[..body]);
+                b.advance(body);
                 let (seqno, retractions) = if versioned {
                     get_ls_trailer(&mut b, count as u16)?
                 } else {
@@ -936,13 +936,14 @@ mod tests {
     #[test]
     fn linkstate_roundtrip_and_size() {
         let n = 140;
-        let entries: Vec<LinkEntry> = (0..n)
+        let entries: Vec<WireEntry> = (0..n)
             .map(|i| {
                 if i % 7 == 0 {
                     LinkEntry::dead()
                 } else {
                     LinkEntry::live(i as u16 * 3, 0.01)
                 }
+                .encode()
             })
             .collect();
         let m = Message::LinkState(LinkStateMsg {
@@ -1176,9 +1177,9 @@ mod tests {
             basis_ms: 1_000_000,
             width: 4096,
             entries: vec![
-                (3, LinkEntry::live(40, 0.01)),
-                (64, LinkEntry::live(120, 0.0)),
-                (4095, LinkEntry::live(7, 0.0)),
+                (3, LinkEntry::live(40, 0.01).encode()),
+                (64, LinkEntry::live(120, 0.0).encode()),
+                (4095, LinkEntry::live(7, 0.0).encode()),
             ],
             seqno: 0,
             retractions: vec![],
@@ -1191,7 +1192,7 @@ mod tests {
 
     #[test]
     fn sparse_linkstate_rejects_disorder_and_out_of_range() {
-        let mk = |entries: Vec<(u16, LinkEntry)>| {
+        let mk = |entries: Vec<(u16, WireEntry)>| {
             Message::LinkStateSparse(SparseLinkStateMsg {
                 from: NodeId(0),
                 to: NodeId(1),
@@ -1207,18 +1208,18 @@ mod tests {
         };
         // Descending destinations.
         let bad = mk(vec![
-            (9, LinkEntry::live(1, 0.0)),
-            (3, LinkEntry::live(2, 0.0)),
+            (9, LinkEntry::live(1, 0.0).encode()),
+            (3, LinkEntry::live(2, 0.0).encode()),
         ]);
         assert_eq!(Message::decode(&bad), Err(WireError::BadLength));
         // Duplicate destination.
         let dup = mk(vec![
-            (9, LinkEntry::live(1, 0.0)),
-            (9, LinkEntry::live(2, 0.0)),
+            (9, LinkEntry::live(1, 0.0).encode()),
+            (9, LinkEntry::live(2, 0.0).encode()),
         ]);
         assert_eq!(Message::decode(&dup), Err(WireError::BadLength));
         // Destination ≥ width.
-        let oob = mk(vec![(100, LinkEntry::live(1, 0.0))]);
+        let oob = mk(vec![(100, LinkEntry::live(1, 0.0).encode())]);
         assert_eq!(Message::decode(&oob), Err(WireError::BadLength));
     }
 
@@ -1240,7 +1241,7 @@ mod tests {
             view: 0,
             round: 0,
             basis_ms: 0,
-            entries: vec![LinkEntry::live(5, 0.0); 10],
+            entries: vec![LinkEntry::live(5, 0.0).encode(); 10],
             seqno: 0,
             retractions: vec![],
         });
@@ -1279,7 +1280,7 @@ mod tests {
             view: 2,
             round: 99,
             basis_ms: 1_000_000,
-            entries: vec![LinkEntry::live(40, 0.0); 12],
+            entries: vec![LinkEntry::live(40, 0.0).encode(); 12],
             seqno: 7,
             retractions: vec![2, 5, 11],
         });
@@ -1312,7 +1313,10 @@ mod tests {
                 round: 3,
                 basis_ms: 0,
                 width: 100,
-                entries: vec![(4, LinkEntry::live(9, 0.0)), (40, LinkEntry::live(2, 0.0))],
+                entries: vec![
+                    (4, LinkEntry::live(9, 0.0).encode()),
+                    (40, LinkEntry::live(2, 0.0).encode()),
+                ],
                 seqno,
                 retractions,
             })
@@ -1346,7 +1350,10 @@ mod tests {
             view: 4,
             round: 9,
             basis_ms: 77,
-            entries: vec![LinkEntry::live(10, 0.0), LinkEntry::dead()],
+            entries: vec![
+                LinkEntry::live(10, 0.0).encode(),
+                LinkEntry::dead().encode(),
+            ],
             seqno: 0,
             retractions: vec![],
         });

@@ -181,16 +181,25 @@ pub enum DropCause {
 }
 
 impl DropCause {
-    /// Stable lowercase label; the cause's counter is
-    /// `netsim/drop_<label>`.
+    /// Every cause, in declaration order: `cause as usize` is a cause's
+    /// position here and its slot in the per-node drop counters.
+    pub const ALL: [DropCause; 5] = [
+        DropCause::LinkDown,
+        DropCause::Unreachable,
+        DropCause::Loss,
+        DropCause::QueueOverflow,
+        DropCause::ReceiverDown,
+    ];
+
+    /// Name of the cause's counter under component `netsim`.
     #[must_use]
-    pub fn label(self) -> &'static str {
+    pub fn counter_name(self) -> &'static str {
         match self {
-            DropCause::LinkDown => "link_down",
-            DropCause::Unreachable => "unreachable",
-            DropCause::Loss => "loss",
-            DropCause::QueueOverflow => "queue_overflow",
-            DropCause::ReceiverDown => "receiver_down",
+            DropCause::LinkDown => "drop_link_down",
+            DropCause::Unreachable => "drop_unreachable",
+            DropCause::Loss => "drop_loss",
+            DropCause::QueueOverflow => "drop_queue_overflow",
+            DropCause::ReceiverDown => "drop_receiver_down",
         }
     }
 }
@@ -203,18 +212,9 @@ struct NetMetrics {
     sent: Counter,
     delivered: Counter,
     queued: Counter,
+    /// Indexed by `cause as usize` (see [`DropCause::ALL`]).
     drops: [Counter; 5],
     deliver_latency_us: Histogram,
-}
-
-fn drop_slot(cause: DropCause) -> usize {
-    match cause {
-        DropCause::LinkDown => 0,
-        DropCause::Unreachable => 1,
-        DropCause::Loss => 2,
-        DropCause::QueueOverflow => 3,
-        DropCause::ReceiverDown => 4,
-    }
 }
 
 impl NetMetrics {
@@ -224,13 +224,7 @@ impl NetMetrics {
             sent: telemetry.counter("netsim", "pkt_sent"),
             delivered: telemetry.counter("netsim", "pkt_delivered"),
             queued: telemetry.counter("netsim", "pkt_queued"),
-            drops: [
-                telemetry.counter("netsim", "drop_link_down"),
-                telemetry.counter("netsim", "drop_unreachable"),
-                telemetry.counter("netsim", "drop_loss"),
-                telemetry.counter("netsim", "drop_queue_overflow"),
-                telemetry.counter("netsim", "drop_receiver_down"),
-            ],
+            drops: DropCause::ALL.map(|cause| telemetry.counter("netsim", cause.counter_name())),
             deliver_latency_us: telemetry.histogram("netsim", "deliver_latency_us"),
             telemetry,
         }
@@ -508,7 +502,7 @@ impl Simulator {
             DropCause::LinkDown | DropCause::Unreachable | DropCause::Loss => from,
             DropCause::QueueOverflow | DropCause::ReceiverDown => to,
         };
-        self.net[owner].drops[drop_slot(cause)].inc();
+        self.net[owner].drops[cause as usize].inc();
     }
 
     /// The network model: account the transmission, then decide loss and
@@ -936,19 +930,28 @@ mod tests {
         .map(|name| snap.counter(node as u32, "netsim", name).unwrap_or(0))
     }
 
+    /// Each cause increments exactly the counter named after it, and
+    /// no two causes share a name.
     #[test]
     fn drop_cause_labels_are_distinct() {
-        let all = [
-            DropCause::LinkDown,
-            DropCause::Unreachable,
-            DropCause::Loss,
-            DropCause::QueueOverflow,
-            DropCause::ReceiverDown,
-        ];
-        let mut labels: Vec<&str> = all.iter().map(|c| c.label()).collect();
-        labels.sort_unstable();
-        labels.dedup();
-        assert_eq!(labels.len(), all.len());
+        for (slot, cause) in DropCause::ALL.into_iter().enumerate() {
+            assert_eq!(cause as usize, slot, "{cause:?} out of slot order");
+            let metrics = NetMetrics::new(7);
+            metrics.drops[cause as usize].inc();
+            let snap = metrics.telemetry.snapshot();
+            for other in DropCause::ALL {
+                let want = u64::from(other == cause);
+                assert_eq!(
+                    snap.counter(7, "netsim", other.counter_name()),
+                    Some(want),
+                    "{cause:?} drop read under {other:?}'s name"
+                );
+            }
+        }
+        let mut names = DropCause::ALL.map(DropCause::counter_name).to_vec();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), DropCause::ALL.len());
     }
 
     #[test]

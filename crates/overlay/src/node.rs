@@ -1262,7 +1262,7 @@ mod tests {
             view: 1,
             round: 1,
             basis_ms: 0,
-            entries: vec![apor_linkstate::LinkEntry::dead(); 4],
+            entries: vec![apor_linkstate::DEAD_WIRE; 4],
             seqno: 0,
             retractions: vec![],
         });

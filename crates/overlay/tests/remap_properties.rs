@@ -400,10 +400,10 @@ fn export_remap_import_keeps_the_replay_guard() {
     let new_view = MembershipView::new(2, ids(&[1, 3, 4, 7, 9, 11, 13, 15, 17]));
     let n = 9;
     let frame = |view: u32, latency: u16, seqno: u16, retractions: Vec<u16>| {
-        let mut entries = vec![LinkEntry::live(latency, 0.0); n];
-        entries[1] = LinkEntry::live(0, 0.0);
+        let mut entries = vec![LinkEntry::live(latency, 0.0).encode(); n];
+        entries[1] = LinkEntry::live(0, 0.0).encode();
         for &r in &retractions {
-            entries[usize::from(r)] = LinkEntry::dead();
+            entries[usize::from(r)] = LinkEntry::dead().encode();
         }
         Message::LinkState(LinkStateMsg {
             from: NodeId::from_index(1),
@@ -471,12 +471,9 @@ fn view_change_preserves_routes_end_to_end() {
     node.on_start(0.0, &mut out);
     assert_eq!(node.my_index(), Some(0));
 
-    let row1 = vec![
-        LinkEntry::live(40, 0.0),
-        LinkEntry::live(0, 0.0),
-        LinkEntry::live(25, 0.0),
-        LinkEntry::live(30, 0.0),
-    ];
+    let row1 = [40, 0, 25, 30]
+        .map(|ms| LinkEntry::live(ms, 0.0).encode())
+        .to_vec();
     let ls = Message::LinkState(LinkStateMsg {
         from: NodeId(1),
         to: NodeId(0),
@@ -556,7 +553,7 @@ fn view_change_drops_stale_rows() {
         view: 1,
         round: 1,
         basis_ms: 0,
-        entries: vec![LinkEntry::live(40, 0.0); 4],
+        entries: vec![LinkEntry::live(40, 0.0).encode(); 4],
         seqno: 0,
         retractions: vec![],
     });

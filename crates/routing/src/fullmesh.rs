@@ -7,13 +7,14 @@
 
 use crate::config::ProtocolConfig;
 use crate::{export_store_rows, RoutingAlgorithm, TickOut, VersionedRow};
-use apor_linkstate::{LinkEntry, LinkStateMsg, LinkStateStore, LinkStateTable, Message};
+use apor_linkstate::{LinkEntry, LinkStateMsg, LinkStateStore, LinkStateTable, Message, WireEntry};
 use apor_quorum::NodeId;
 
 /// The baseline router over the dense table: every node legitimately
 /// holds all `n` rows here, so dense `O(1)` row lookups and slice-copy
 /// ingest of dense frames are the right trade (the measured reason is
-/// in [`apor_linkstate::table`]).
+/// in [`apor_linkstate::table`]). Rows stay in their 3-byte wire form
+/// from the frame body to the table.
 #[derive(Debug)]
 pub struct FullMeshRouter {
     me: usize,
@@ -56,7 +57,9 @@ impl RoutingAlgorithm for FullMeshRouter {
         own_row: &[LinkEntry],
         _rng: &mut rand_chacha::ChaCha8Rng,
     ) -> TickOut {
-        self.table.put_dense(self.me, own_row, now);
+        // Encoded once: the same bytes are my table row and the frame.
+        let wire: Vec<WireEntry> = own_row.iter().map(LinkEntry::encode).collect();
+        self.table.put_dense(self.me, &wire, now);
         self.round += 1;
         // One row, broadcast: built once, addressed to every peer.
         TickOut {
@@ -66,7 +69,7 @@ impl RoutingAlgorithm for FullMeshRouter {
                 view: self.view,
                 round: self.round,
                 basis_ms: (now * 1000.0) as u32,
-                entries: own_row.to_vec(),
+                entries: wire,
                 seqno: 0,
                 retractions: vec![],
             })),
@@ -134,6 +137,7 @@ impl RoutingAlgorithm for FullMeshRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apor_linkstate::LaneRow;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -238,7 +242,11 @@ mod tests {
         assert!(tick.msgs.is_empty());
         assert_eq!(tick.frame_to, (1..n).collect::<Vec<_>>());
         match &tick.frame {
-            Some(Message::LinkState(ls)) => assert_eq!(ls.entries, row),
+            Some(Message::LinkState(ls)) => {
+                let wire: Vec<WireEntry> = row.iter().map(LinkEntry::encode).collect();
+                assert_eq!(ls.entries, wire);
+                assert_eq!(router.table().lane_row(0), Some(LaneRow::from_wire(&wire)));
+            }
             other => panic!("expected one dense frame, got {other:?}"),
         }
     }

@@ -37,7 +37,7 @@ use crate::feasibility::{select_detour, Detour, FeasibilityTable};
 use crate::{export_store_rows, RoutingAlgorithm, TickOut, VersionedRow};
 use apor_linkstate::{
     LaneRow, LinkEntry, LinkStateMsg, LinkStateStore, Message, RecEntry, RecommendationMsg,
-    RowStore, SparseLinkStateMsg,
+    RowStore, SparseLinkStateMsg, WireEntry,
 };
 use apor_quorum::{Grid, NodeId};
 use apor_telemetry::{Counter, Gauge, Histogram, SpanKind, Telemetry, TraceCtx, Tracer};
@@ -645,12 +645,12 @@ impl<S: LinkStateStore> QuorumRouter<S> {
         let live = self.own_row.iter().filter(|e| e.alive).count();
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         if 5 * live < 3 * self.n - 2 {
-            let entries: Vec<(u16, LinkEntry)> = self
+            let entries: Vec<(u16, WireEntry)> = self
                 .own_row
                 .iter()
                 .enumerate()
                 .filter(|(_, e)| e.alive)
-                .map(|(dst, e)| (dst as u16, *e))
+                .map(|(dst, e)| (dst as u16, e.encode()))
                 .collect();
             Message::LinkStateSparse(SparseLinkStateMsg {
                 from,
@@ -670,7 +670,7 @@ impl<S: LinkStateStore> QuorumRouter<S> {
                 view: self.view,
                 round: self.round,
                 basis_ms: (now * 1000.0) as u32,
-                entries: self.own_row.clone(),
+                entries: self.own_row.iter().map(LinkEntry::encode).collect(),
                 seqno: self.own_seqno,
                 retractions,
             })
@@ -827,7 +827,7 @@ impl<S: LinkStateStore> RoutingAlgorithm for QuorumRouter<S> {
                     && from != self.me
                     && self.table.put_row(
                         from,
-                        LaneRow::from_dense(&ls.entries).with_version(ls.seqno, &ls.retractions),
+                        LaneRow::from_wire(&ls.entries).with_version(ls.seqno, &ls.retractions),
                         now,
                     )
                 {
@@ -843,7 +843,8 @@ impl<S: LinkStateStore> RoutingAlgorithm for QuorumRouter<S> {
                     && from != self.me
                     && self.table.put_row(
                         from,
-                        LaneRow::from_pairs(&ls.entries).with_version(ls.seqno, &ls.retractions),
+                        LaneRow::from_wire_pairs(&ls.entries)
+                            .with_version(ls.seqno, &ls.retractions),
                         now,
                     )
                 {
@@ -975,6 +976,11 @@ mod tests {
                 queue.extend(replies.into_iter().map(|r| (r.to().index(), r)));
             }
         }
+    }
+
+    /// A row in its wire form, as a dense frame carries it.
+    fn wire(row: &[LinkEntry]) -> Vec<WireEntry> {
+        row.iter().map(LinkEntry::encode).collect()
     }
 
     /// Symmetric rows from a cost matrix; `u16::MAX` ⇒ dead link.
@@ -1194,7 +1200,7 @@ mod tests {
                 view: 0,
                 round: 1,
                 basis_ms: 0,
-                entries: row,
+                entries: wire(&row),
                 seqno: 0,
                 retractions: vec![],
             });
@@ -1344,7 +1350,7 @@ mod tests {
         match &tick.frame {
             Some(m @ Message::LinkStateSparse(sm)) => {
                 assert_eq!(usize::from(sm.width), n);
-                assert!(sm.entries.iter().all(|(_, e)| e.alive));
+                assert!(sm.entries.iter().all(|(_, w)| w[2] & 0x80 != 0));
                 assert!(tick.frame_to.contains(&13));
                 let _ = receiver.on_message(0.5, m);
             }
@@ -1575,7 +1581,7 @@ mod tests {
                 view: 0,
                 round: 1,
                 basis_ms: 0,
-                entries: row1,
+                entries: wire(&row1),
                 seqno: 0,
                 retractions: vec![],
             }),
@@ -1612,7 +1618,7 @@ mod tests {
                     view: 0,
                     round: 1,
                     basis_ms: 0,
-                    entries: row,
+                    entries: wire(&row),
                     seqno: 0,
                     retractions: vec![],
                 }),
@@ -1701,7 +1707,7 @@ mod tests {
                 view: 0,
                 round: 2,
                 basis_ms: 0,
-                entries: row4.clone(),
+                entries: wire(&row4),
                 seqno: 2,
                 retractions: vec![8],
             }),
@@ -1724,7 +1730,7 @@ mod tests {
                 view: 0,
                 round: 1,
                 basis_ms: 0,
-                entries: stale,
+                entries: wire(&stale),
                 seqno: 1,
                 retractions: vec![],
             }),
@@ -1839,7 +1845,7 @@ mod tests {
                 view: 0,
                 round: 1,
                 basis_ms: 0,
-                entries: row1,
+                entries: wire(&row1),
                 seqno: 9,
                 retractions: vec![6],
             }),
@@ -1866,7 +1872,7 @@ mod tests {
                 view: 1,
                 round: 1,
                 basis_ms: 0,
-                entries: stale,
+                entries: wire(&stale),
                 seqno: 8,
                 retractions: vec![],
             }),
@@ -2002,7 +2008,7 @@ mod tests {
                     view: 0,
                     round: 1,
                     basis_ms: 0,
-                    entries: row(from as u16 * 10),
+                    entries: wire(&row(from as u16 * 10)),
                     seqno: 0,
                     retractions: vec![],
                 }),

@@ -6,12 +6,15 @@
 //! lane-backed `RowStore` row, alone and mixed in one pair), and
 //! the lanes themselves must hold the exact wire bytes so a row that
 //! travelled through `wire.rs` encode/decode is bit-identical to one
-//! stored directly. The all-pairs round-two kernel must in turn equal
-//! the per-pair kernel on every ordered pair of members.
+//! stored directly. A dense table and a row store fed the same frames
+//! must answer every kernel query alike. The all-pairs round-two
+//! kernel must in turn equal the per-pair kernel on every ordered pair
+//! of members.
 
 use apor_linkstate::wire::{LinkStateMsg, SparseLinkStateMsg};
 use apor_linkstate::{
     best_one_hop_rows, LaneRow, LinkEntry, LinkStateStore, LinkStateTable, Message, RowStore,
+    WireEntry,
 };
 use apor_quorum::NodeId;
 use proptest::prelude::*;
@@ -93,14 +96,47 @@ fn arb_all_pairs_case(
         })
 }
 
-/// Live `(dst, entry)` pairs of a dense row, ascending — the payload of
-/// a sparse link-state frame.
-fn live_pairs(row: &[LinkEntry]) -> Vec<(u16, LinkEntry)> {
+/// A dense row in its wire form — the payload of a dense frame.
+fn wire(row: &[LinkEntry]) -> Vec<WireEntry> {
+    row.iter().map(LinkEntry::encode).collect()
+}
+
+/// Live `(dst, wire entry)` pairs of a dense row, ascending — the
+/// payload of a sparse link-state frame.
+fn live_pairs(row: &[LinkEntry]) -> Vec<(u16, WireEntry)> {
     row.iter()
         .enumerate()
         .filter(|(_, e)| e.alive)
-        .map(|(d, e)| (d as u16, *e))
+        .map(|(d, e)| (d as u16, e.encode()))
         .collect()
+}
+
+/// An arbitrary wire row of width `n`: live entries over the full
+/// latency range (`0xFFFF` included), dead entries with junk
+/// latency/loss bytes, and about one entry in three dead.
+fn arb_wire_row(n: usize) -> impl Strategy<Value = Vec<WireEntry>> {
+    prop::collection::vec(
+        (
+            prop_oneof![1u16..4, 1u16..2000, 65534u16..=65535],
+            any::<u16>(),
+            any::<u8>(),
+            prop::bool::weighted(0.65),
+        ),
+        n,
+    )
+    .prop_map(|raw| {
+        raw.into_iter()
+            .map(|(lat, junk, loss, alive)| {
+                if alive {
+                    let [hi, lo] = lat.to_be_bytes();
+                    [hi, lo, 0x80 | loss]
+                } else {
+                    let [hi, lo] = junk.to_be_bytes();
+                    [hi, lo, loss & 0x7F]
+                }
+            })
+            .collect()
+    })
 }
 
 proptest! {
@@ -123,7 +159,7 @@ proptest! {
         for (i, row) in rows.iter().enumerate() {
             let mut row = row.clone();
             row[i] = LinkEntry::live(0, 0.0);
-            dense.put_dense(i, &row, 0.0);
+            dense.put_dense(i, &wire(&row), 0.0);
             lanes.put_row(i, LaneRow::from_dense(&row), 0.0);
         }
         for &(a, b) in &pairs {
@@ -164,7 +200,7 @@ proptest! {
             view: 7,
             round: 3,
             basis_ms: 250,
-            entries: row.clone(),
+            entries: wire(&row),
             seqno: 0,
             retractions: vec![],
         });
@@ -173,7 +209,7 @@ proptest! {
         };
         prop_assert_eq!(
             LaneRow::from_dense(&row),
-            LaneRow::from_dense(&decoded.entries),
+            LaneRow::from_wire(&decoded.entries),
             "dense wire path not bit-identical"
         );
 
@@ -194,9 +230,86 @@ proptest! {
             panic!("sparse wire round trip failed");
         };
         prop_assert_eq!(
-            LaneRow::from_pairs(&pairs),
-            LaneRow::from_pairs(&sdec.entries),
+            LaneRow::from_dense(&row),
+            LaneRow::from_wire_pairs(&sdec.entries),
             "sparse wire path not bit-identical"
+        );
+    }
+
+    /// A dense table and a row store fed the same received frames —
+    /// each origin's row sent dense or sparse, through encode/decode,
+    /// ingested the way the routers ingest them — agree on
+    /// `best_one_hop`, `one_hop_options` and `best_hops_all_pairs` for
+    /// every pair, over arbitrary wire entries.
+    #[test]
+    fn stores_fed_the_same_frames_agree(
+        rows in prop::collection::vec((arb_wire_row(24), any::<bool>()), 2..10),
+        members_raw in prop::collection::vec(0usize..24, 2..12),
+    ) {
+        let n = 24;
+        let mut table = LinkStateTable::new(n);
+        let mut store = RowStore::new(n);
+        for (origin, (row, sparse)) in rows.iter().enumerate() {
+            let msg = if *sparse {
+                Message::LinkStateSparse(SparseLinkStateMsg {
+                    from: NodeId::from_index(origin),
+                    to: NodeId::from_index(0),
+                    view: 1,
+                    round: 1,
+                    basis_ms: 0,
+                    width: n as u16,
+                    entries: row
+                        .iter()
+                        .enumerate()
+                        .map(|(d, &w)| (d as u16, w))
+                        .filter(|&(_, w)| w[2] & 0x80 != 0)
+                        .collect(),
+                    seqno: 0,
+                    retractions: vec![],
+                })
+            } else {
+                Message::LinkState(LinkStateMsg {
+                    from: NodeId::from_index(origin),
+                    to: NodeId::from_index(0),
+                    view: 1,
+                    round: 1,
+                    basis_ms: 0,
+                    entries: row.clone(),
+                    seqno: 0,
+                    retractions: vec![],
+                })
+            };
+            match Message::decode(&msg.encode()).expect("decode own frame") {
+                Message::LinkState(ls) => {
+                    table.put_dense(origin, &ls.entries, 0.0);
+                    store.put_row(origin, LaneRow::from_wire(&ls.entries), 0.0);
+                }
+                Message::LinkStateSparse(ls) => {
+                    table.put_row(origin, LaneRow::from_wire_pairs(&ls.entries), 0.0);
+                    store.put_row(origin, LaneRow::from_wire_pairs(&ls.entries), 0.0);
+                }
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+        for a in 0..n {
+            for b in 0..n {
+                prop_assert_eq!(
+                    table.best_one_hop(a, b, 1.0, 45.0),
+                    store.best_one_hop(a, b, 1.0, 45.0),
+                    "best_one_hop a={} b={}", a, b
+                );
+                prop_assert_eq!(
+                    table.one_hop_options(a, b, 1.0, 45.0),
+                    store.one_hop_options(a, b, 1.0, 45.0),
+                    "one_hop_options a={} b={}", a, b
+                );
+            }
+        }
+        let mut members = members_raw;
+        members.dedup();
+        prop_assert_eq!(
+            table.best_hops_all_pairs(&members, 1.0, 45.0),
+            store.best_hops_all_pairs(&members, 1.0, 45.0)
         );
     }
 }
@@ -218,7 +331,7 @@ proptest! {
             // Stored at -100 s: older than max_age at t = 1.
             let at = if *stale { -100.0 } else { 0.0 };
             lanes.put_row(*o, LaneRow::from_dense(row), at);
-            dense.put_dense(*o, row, at);
+            dense.put_dense(*o, &wire(row), at);
         }
         let got = lanes.best_hops_all_pairs(&members, 1.0, 45.0);
         prop_assert_eq!(got.member_count(), members.len());

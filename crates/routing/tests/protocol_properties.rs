@@ -1,6 +1,6 @@
 //! Property-based tests on the routing protocol cores.
 
-use apor_linkstate::{LinkEntry, LinkStateStore, LinkStateTable, RowStore};
+use apor_linkstate::{LinkEntry, LinkStateStore, LinkStateTable, RowStore, WireEntry};
 use apor_routing::prober::{ProbeAction, Prober};
 use apor_routing::ProtocolConfig;
 use proptest::prelude::*;
@@ -31,7 +31,7 @@ fn arb_table(n: usize) -> impl Strategy<Value = LinkStateTable> {
     .prop_map(move |rows| {
         let mut t = LinkStateTable::new(n);
         for (i, row) in rows.iter().enumerate() {
-            let entries: Vec<LinkEntry> = row
+            let entries: Vec<WireEntry> = row
                 .iter()
                 .enumerate()
                 .map(|(j, &(lat, alive))| {
@@ -42,6 +42,7 @@ fn arb_table(n: usize) -> impl Strategy<Value = LinkStateTable> {
                     } else {
                         LinkEntry::dead()
                     }
+                    .encode()
                 })
                 .collect();
             t.put_dense(i, &entries, 0.0);
